@@ -4,6 +4,10 @@ The sensing matrix is built from the character table of GF(2^r): rows are
 indexed by a multiplicative subgroup {a_1..a_N}, columns by all M = 2^r
 field elements, and the (i, j) entry is (-1)^Tr(a_i x_j) / sqrt(N).
 Columns then have unit norm and the rows are orthogonal with A A^T = (M/N) I.
+
+Tr is GF(2)-linear, so row i is the Walsh row (-1)^parity(w_i & x) of one
+trace mask w_i (gf2m.trace_masks), and the Gram depends only on j XOR k: the
+coherence is read exactly from the integer column sums of the signs.
 """
 
 from __future__ import annotations
@@ -61,16 +65,18 @@ def build_group_hadamard(ctx: gf2m.FieldCtx, n: int) -> Frame:
     if n < 1 or (m - 1) % n != 0:
         raise NotADivisor(f"row count {n} does not divide M-1 = {m - 1}")
 
-    rows = gf2m.subgroup(ctx, n)
-    tr = [gf2m.trace(ctx, x) for x in range(m)]
-    signs = np.empty((n, m), dtype=float)
-    for i, a in enumerate(rows):
-        for j in range(m):
-            signs[i, j] = -1.0 if tr[gf2m.mul(ctx, a, j)] else 1.0
-    entries = signs / math.sqrt(n)
+    x = np.arange(m)
+    entries = np.empty((n, m))
+    col_sums = np.zeros(m, dtype=np.int64)
+    for i, w in enumerate(gf2m.trace_masks(ctx, gf2m.subgroup(ctx, n))):
+        signs = 1 - 2 * (np.bitwise_count(w & x) & 1).astype(np.int64)
+        col_sums += signs
+        entries[i] = signs / math.sqrt(n)
     entries.setflags(write=False)
 
-    frame = Frame(m=m, n=n, entries=entries, mu=_coherence_of(entries), kappa=(m - 1) // n)
+    # Column 0 is all ones, so N * g_0k = col_sums[k] covers every g_jk = g_0(j^k).
+    mu = int(np.abs(col_sums[1:]).max()) / n
+    frame = Frame(m=m, n=n, entries=entries, mu=mu, kappa=(m - 1) // n)
     col_norm_err = np.abs(np.linalg.norm(entries, axis=0) - 1.0).max()
     if col_norm_err > COLUMN_NORM_TOL:
         raise DomainError(f"column norms deviate from 1 by {col_norm_err:g}")
@@ -81,7 +87,7 @@ def build_group_hadamard(ctx: gf2m.FieldCtx, n: int) -> Frame:
 
 def coherence(frame: Frame) -> float:
     """Largest |inner product| between distinct columns."""
-    return _coherence_of(frame.entries)
+    return frame.mu
 
 
 def row_orthonormality_error(frame: Frame) -> float:
@@ -103,24 +109,6 @@ def coherence_bound(m: int, n: int) -> float:
         raise NotADivisor(f"row count {n} does not divide M-1 = {m - 1}")
     kappa = (m - 1) // n
     return ((kappa - 1) * math.sqrt((kappa + 1 / n) / n) + 1 / n) / kappa
-
-
-def ric2(frame: Frame) -> float:
-    """Order-2 restricted isometry constant by brute force over column pairs.
-
-    Scans every 2x2 Gram block (and each single column) and returns the
-    largest eigenvalue deviation from 1.  For unit-norm columns this equals
-    the coherence; the scan is kept independent of coherence() on purpose.
-    """
-    gram = frame.entries.T @ frame.entries
-    m = frame.m
-    delta = max(abs(float(gram[i, i]) - 1.0) for i in range(m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            block = np.array([[gram[i, i], gram[i, j]], [gram[i, j], gram[j, j]]])
-            eigs = np.linalg.eigvalsh(block)
-            delta = max(delta, float(np.abs(eigs - 1.0).max()))
-    return delta
 
 
 def difference_norm_bounds(frame: Frame) -> tuple:

@@ -142,6 +142,20 @@ def trace(ctx: FieldCtx, x: int) -> int:
     return acc
 
 
+def trace_masks(ctx: FieldCtx, elems) -> list:
+    """Masks w_a with Tr(a*x) = parity(w_a & x) for all x; bit i of w_a is Tr(a*x^i)."""
+    r, poly = ctx.r, ctx.reduction_poly
+    tmask = sum(trace(ctx, 1 << i) << i for i in range(r))  # Tr(z) = parity(z & tmask)
+    masks = []
+    for a in map(ctx.check, elems):
+        w = 0
+        for i in range(r):  # a -> a*x by one shift-and-reduce
+            w |= ((a & tmask).bit_count() & 1) << i
+            a = (a << 1) ^ (poly if a >> (r - 1) & 1 else 0)
+        masks.append(w)
+    return masks
+
+
 @lru_cache(maxsize=None)
 def _prime_factors(q: int) -> tuple:
     factors = []
@@ -196,7 +210,3 @@ def subgroup(ctx: FieldCtx, n: int) -> list:
         elems.append(cur)
     return elems
 
-
-def elements(ctx: FieldCtx) -> list:
-    """All field elements in ascending mask order, zero first."""
-    return list(range(ctx.order))

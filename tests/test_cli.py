@@ -1,9 +1,10 @@
 """CLI contract tests: flags, config files, exit codes, CSV stability."""
 
+import dataclasses
 import json
 import math
 
-from compdet import cli
+from compdet import cli, harness
 
 GOLDEN_HEADER = (
     "m,n,t,alpha,beta,snr,detector,trials,errors,p_hat,ci_lo,ci_hi,"
@@ -191,6 +192,13 @@ def test_sweep_rejects_bad_alpha_value(capsys):
     assert run_cli(args) == 2
 
 
+def test_simulate_rejects_collapsing_frame(capsys):
+    args = ["simulate", "--m", "64", "--t", "128", "--n", "7", "--snr", "2",
+            "--trials", "200", "--detectors", "ml"]
+    assert run_cli(args) == cli.EXIT_CONFIG
+    assert "coherence" in capsys.readouterr().err
+
+
 # --- validate subcommand ---
 
 def test_validate_quick_passes(capsys):
@@ -201,3 +209,14 @@ def test_validate_quick_passes(capsys):
     for name in ("frame-geometry", "wishart-projection-ks", "bound-sandwich",
                   "detector-ordering"):
         assert name in out
+
+
+def test_validate_ordering_fails_on_too_few_errors(monkeypatch):
+    # The ordering check must not pass on runs that see (almost) no errors.
+    real_run = harness.run
+    monkeypatch.setattr(harness, "run",
+                        lambda spec, threads=1: real_run(dataclasses.replace(spec, trials=200),
+                                                         threads=threads))
+    ok, detail = cli._check_ordering(0, True, 1)
+    assert not ok
+    assert "insufficient errors" in detail

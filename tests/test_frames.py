@@ -80,14 +80,46 @@ def test_all_constructible_frames(m):
         np.testing.assert_allclose(np.linalg.norm(frame.entries, axis=0), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("m,n", [(8, 7), (16, 5), (16, 15)])
-def test_ric2_equals_coherence(m, n):
-    frame = build(m, n)
-    assert abs(frames.ric2(frame) - frame.mu) < 1e-10
+def oracle_entries(m, n):
+    """The defining N*M loop: entry (i, x) is (-1)^Tr(a_i x) / sqrt(N)."""
+    ctx = gf2m.FieldCtx.standard(m.bit_length() - 1)
+    tr = [gf2m.trace(ctx, x) for x in range(m)]
+    signs = np.empty((n, m))
+    for i, a in enumerate(gf2m.subgroup(ctx, n)):
+        for x in range(m):
+            signs[i, x] = -1.0 if tr[gf2m.mul(ctx, a, x)] else 1.0
+    return signs / math.sqrt(n)
 
 
-def test_ric2_orthonormal_fixture():
-    assert frames.ric2(frames.frame_from_entries(np.eye(5))) == 0.0
+def dense_pair_scan(entries):
+    gram = entries.T @ entries
+    return float(np.abs(gram - np.diag(np.diag(gram))).max())
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256])
+def test_frames_match_field_product_oracle(m):
+    for n in all_divisors(m):
+        frame = build(m, n)
+        oracle = oracle_entries(m, n)
+        np.testing.assert_array_equal(frame.entries, oracle)
+        assert abs(frame.mu - dense_pair_scan(oracle)) <= 1e-15
+        # Column 0 is all ones, so N * g_0k is an integer sum of signs.
+        signs = np.rint(oracle * math.sqrt(n)).astype(np.int64)
+        assert frame.mu == int(np.abs(signs.sum(axis=0)[1:]).max()) / n
+
+
+def test_trace_masks_give_the_trace_of_products():
+    ctx = gf2m.FieldCtx.standard(5)
+    elems = [1, 2, 7, 19, 31]
+    for a, w in zip(elems, gf2m.trace_masks(ctx, elems)):
+        for x in range(ctx.order):
+            assert bin(w & x).count("1") % 2 == gf2m.trace(ctx, gf2m.mul(ctx, a, x))
+
+
+@pytest.mark.parametrize("m,n", [(16, 3), (64, 7), (256, 5), (256, 15), (512, 7), (1024, 31)])
+def test_collapsing_frames_have_coherence_exactly_one(m, n):
+    # Dense Gram rounding gave 1 +- a few ulp here, which let mu < 1 through.
+    assert build(m, n).mu == 1.0
 
 
 def test_difference_norm_bounds_7x8():

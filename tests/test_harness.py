@@ -163,6 +163,13 @@ def test_theory_columns_attached():
     assert abs(mfml.theory_exponent - theory.exponent_mf(2.0, 2.0)) < 1e-12
 
 
+def test_collapsing_frame_rejected():
+    # N=7 at M=64 has coherence exactly 1: only 8 distinct columns.
+    spec = harness.ExperimentSpec(m=64, t=128, snr=2.0, trials=200, n=7, detectors=("ml",))
+    with pytest.raises(ConfigError, match="coherence"):
+        harness.run(spec)
+
+
 # --- sweeps ---
 
 def test_sweep_alpha_walks_divisors():

@@ -1,0 +1,29 @@
+"""Short benchmark runs: each mode must end in one parseable, passing result line.
+
+A run whose child crashes prints no result line, so the benchmark cannot be
+scored at all; these runs catch that before a full-length one would.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+END_TO_END = ("throughput_per_s", "op_s", "setup_s", "peak_rss_mb")
+
+
+@pytest.mark.parametrize("workload,trace", [("frame_scale", 0), ("frame_scale", 1),
+                                            ("small_all", 1)])
+def test_bench_run_ends_in_passing_result_line(workload, trace):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "1", "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    if trace == 0:
+        for name in END_TO_END:
+            assert result["metrics"][name]["value"] > 0, name
