@@ -93,7 +93,8 @@ def coherence(frame: Frame) -> float:
 def row_orthonormality_error(frame: Frame) -> float:
     """Max-norm deviation of A A^T from (M/N) I."""
     aat = frame.entries @ frame.entries.T
-    return float(np.abs(aat - (frame.m / frame.n) * np.eye(frame.n)).max())
+    aat[np.diag_indices(frame.n)] -= frame.m / frame.n
+    return float(np.abs(aat).max())
 
 
 def coherence_bound(m: int, n: int) -> float:
