@@ -10,6 +10,7 @@ byte-identical across runs and thread counts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -340,12 +341,16 @@ def _check_wishart(seed: int, n_samples: int) -> tuple:
     return ok, detail
 
 
-def _check_sandwich(seed: int, trials: int, threads: int) -> tuple:
+def _validate_run(seed: int, snr: float, trials: int, detectors: tuple, threads: int):
     spec = harness.ExperimentSpec(
-        m=8, t=16, snr=2.0, trials=trials, n=7, detectors=("ml", "mrdd"), seed=seed
+        m=8, t=16, snr=snr, trials=trials, n=7, detectors=detectors, seed=seed
     )
-    result = harness.run(spec, threads=threads)
+    return harness.run(spec, threads=threads)
+
+
+def _check_sandwich(result: harness.ExperimentResult) -> tuple:
     verdicts = harness.bound_sandwich_check(result)
+    verdicts = {name: verdicts[name] for name in ("ml", "mrdd")}
     ok = all(v.upper_pass for v in verdicts.values())
     detail = "; ".join(
         f"{name}: ci_lo={result.per_detector[name].ci[0]:.4g} <= upper={v.bound_upper:.4g} "
@@ -355,14 +360,17 @@ def _check_sandwich(seed: int, trials: int, threads: int) -> tuple:
     return ok, detail
 
 
-def _check_ordering(seed: int, quick: bool, threads: int) -> tuple:
+def _ordering_run(seed: int, quick: bool, threads: int) -> harness.ExperimentResult:
+    return _validate_run(seed, 1.0 if quick else 2.0, 6000 if quick else 100_000,
+                         ("mfml", "ml", "mrdd"), threads)
+
+
+def _check_ordering(seed: int, quick: bool, threads: int, result=None) -> tuple:
     # The paper's order, ML on v (mfml) <= ML <= MRDD, at a config where every
     # rule errs often; too few errors fail the check instead of passing it.
-    spec = harness.ExperimentSpec(
-        m=8, t=16, snr=1.0 if quick else 2.0, trials=6000 if quick else 60_000, n=7,
-        detectors=("mfml", "ml", "mrdd"), seed=seed,
-    )
-    stats_ = harness.run(spec, threads=threads).per_detector
+    if result is None:
+        result = _ordering_run(seed, quick, threads)
+    stats_ = result.per_detector
     widths = {k: stats_[k].ci[1] - stats_[k].ci[0] for k in stats_}
     p = {k: stats_[k].p_hat for k in stats_}
     detail = f"p_mfml={p['mfml']:.4g}, p_ml={p['ml']:.4g}, p_mrdd={p['mrdd']:.4g}"
@@ -377,11 +385,16 @@ def cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     quick = args.quick
     threads = args.threads if args.threads is not None else 1
+    ordering_run = functools.cache(lambda: _ordering_run(seed, quick, threads))
+    # In full mode the ordering run has the sandwich's config and seed, and so
+    # its draws: one run feeds both checks.  --quick orders at a lower SNR.
+    sandwich_run = ordering_run if not quick else (
+        lambda: _validate_run(seed, 2.0, 20_000, ("ml", "mrdd"), threads))
     checks = [
         ("frame-geometry", lambda: _check_frame_geometry((8, 16) if quick else (8, 16, 32, 64))),
         ("wishart-projection-ks", lambda: _check_wishart(seed, 800 if quick else 2000)),
-        ("bound-sandwich", lambda: _check_sandwich(seed, 20_000 if quick else 100_000, threads)),
-        ("detector-ordering", lambda: _check_ordering(seed, quick, threads)),
+        ("bound-sandwich", lambda: _check_sandwich(sandwich_run())),
+        ("detector-ordering", lambda: _check_ordering(seed, quick, threads, ordering_run())),
     ]
     all_ok = True
     for name, check in checks:

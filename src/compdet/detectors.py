@@ -1,4 +1,7 @@
-"""Decision rules: matched-filter argmax and ML, whitened ML, and the linear RDDs.
+"""Decision rules: matched-filter argmax and ML, ML on u, and the linear RDDs.
+
+ML on the compressed statistic u is computed by whitening in general, and at
+kappa = 1 as a rank-one correction of the matched-filter ML score.
 
 Hypothesis indices returned by every detector are 1-based.  All ties break
 toward the lowest index (argmax/argmin return the first maximizer); ties
@@ -79,6 +82,29 @@ def detect_ml_whitened(wf: WhitenedFrame, u: np.ndarray) -> int:
     # h_k^T u_w - ||h_k||^2 / 2 after dropping the k-independent ||u_w||^2.
     scores = wf.columns.T @ u_w - 0.5 * wf.col_sqnorm
     return int(np.argmax(scores)) + 1
+
+
+def full_group_ml_scores(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """ML scores on u = A G^{-1} v for a frame whose null space is the all-ones line.
+
+    Precondition: N = M - 1 and A 1 = 0, which every group frame at kappa = 1
+    meets (it holds every nonzero Walsh row; the row left out is mask 0).
+    Then A^T C^{-1} A = G - g g^T / q with g = G 1 and q = 1^T G 1, so the
+    scores a_k^T C^{-1} u - a_k^T C^{-1} a_k / 2 of detect_ml_whitened are
+
+        (v_k - G_kk / 2) - (g_k / q) (1^T v - g_k / 2),
+
+    the detect_mfml score with the all-ones direction projected out: O(M^2)
+    from G, with no N x N covariance, Cholesky or triangular solve.
+    """
+    g = gram.sum(axis=1)
+    q = g.sum()
+    return (v - 0.5 * np.diagonal(gram)) - (g / q) * (v.sum() - 0.5 * g)
+
+
+def detect_ml_full_group(v: np.ndarray, gram: np.ndarray) -> int:
+    """ML verdict on u at kappa = 1 (see full_group_ml_scores), from v and G."""
+    return int(np.argmax(full_group_ml_scores(v, gram))) + 1
 
 
 def detect_ml(frame: Frame, gram: np.ndarray, u: np.ndarray) -> int:

@@ -4,7 +4,10 @@ Each trial regenerates the full signal ensemble and the noise, so error
 rates average over both (the Gram matrix is random trial to trial).  All
 detectors requested for an experiment are evaluated on the same draws, which
 makes paired comparisons low-variance, and the Gram Cholesky factor is
-computed once per trial and shared.
+computed once per trial and shared.  ML on u whitens the frame against G
+(kappa >= 3); at kappa = 1 the group frame's null space is the all-ones line,
+and ML on u is the matched-filter ML score with that direction projected out
+(detectors.full_group_ml_scores), computed from G without whitening.
 
 Trials are keyed by stream id, so the result is a pure function of
 (spec, seed) and is identical for any thread count or execution order.
@@ -23,7 +26,8 @@ from scipy.linalg import cho_solve
 
 from . import frames, gf2m, theory
 from .detectors import (
-    detect_mf, detect_mfml, detect_ml_whitened, detect_mrdd, detect_rdd, whiten_from_cholesky,
+    detect_mf, detect_mfml, detect_ml_full_group, detect_ml_whitened, detect_mrdd, detect_rdd,
+    whiten_from_cholesky,
 )
 from .errors import ConfigError, NumericalFailure, SingularCovariance, SingularGram
 from .model import ModelParams
@@ -155,7 +159,9 @@ def _trial_counts(spec, params, frame, lo, hi):
                     except np.linalg.LinAlgError as exc:
                         raise SingularGram("Gram matrix is numerically singular") from exc
                     u = frame.entries @ cho_solve((chol_g, True), v)
-                    if "ml" in counts:
+                    if "ml" in counts and frame.kappa == 1:
+                        verdicts["ml"] = detect_ml_full_group(v, gram)
+                    elif "ml" in counts:
                         wf = whiten_from_cholesky(frame, chol_g)
                         verdicts["ml"] = detect_ml_whitened(wf, u)
                     if "mrdd" in counts:

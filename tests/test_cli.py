@@ -211,6 +211,24 @@ def test_validate_quick_passes(capsys):
         assert name in out
 
 
+def test_validate_full_feeds_both_checks_from_one_run(monkeypatch, capsys):
+    # bound-sandwich and detector-ordering share config and seed in full mode,
+    # so one experiment (shrunk here) serves both.
+    specs = []
+    real_run = harness.run
+
+    def shrunk_run(spec, threads=1):
+        specs.append(spec)
+        return real_run(dataclasses.replace(spec, trials=2000), threads=threads)
+
+    monkeypatch.setattr(harness, "run", shrunk_run)
+    run_cli(["validate", "--seed", "0"])
+    assert [(s.detectors, s.trials, s.snr) for s in specs] == [(("mfml", "ml", "mrdd"), 100_000, 2.0)]
+    sandwich = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("bound-sandwich"))
+    assert "ml:" in sandwich and "mrdd:" in sandwich and "mfml" not in sandwich
+
+
 def test_validate_ordering_fails_on_too_few_errors(monkeypatch):
     # The ordering check must not pass on runs that see (almost) no errors.
     real_run = harness.run

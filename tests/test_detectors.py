@@ -2,7 +2,9 @@
 
 import hypothesis
 import numpy as np
+import pytest
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from compdet import detectors, frames, gf2m, model
 from compdet.model import ModelParams
@@ -126,6 +128,76 @@ def test_ml_square_orthonormal_frame_tracks_mf():
     assert agree >= 990
 
 
+# --- maximum likelihood on the full-group frame (kappa = 1) ---
+
+def full_group_frame(m):
+    return frames.build_group_hadamard(gf2m.FieldCtx.standard(m.bit_length() - 1), m - 1)
+
+
+def whitened_ml_scores(frame, gram, u):
+    wf = detectors.whiten(frame, gram)
+    return wf.columns.T @ solve_triangular(wf.chol_c, u, lower=True) - 0.5 * wf.col_sqnorm
+
+
+def test_full_group_frames_annihilate_the_all_ones_vector():
+    # The precondition of full_group_ml_scores: N = M - 1 and A 1 = 0.
+    for r in range(2, 11):
+        frame = full_group_frame(2**r)
+        assert frame.kappa == 1 and frame.n == frame.m - 1
+        np.testing.assert_allclose(frame.entries.sum(axis=1), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m,snr", [(8, 1.0), (16, 0.5), (64, 0.12), (256, 0.03)])
+@pytest.mark.parametrize("beta", [2, 1])
+def test_full_group_ml_matches_whitened_oracle(m, snr, beta):
+    # Same scores as whitening, so the same verdicts.  The oracle forms
+    # u = A G^{-1} v and so carries a rounding error of order eps * cond(G):
+    # negligible at beta = 2, up to ~1e-5 relative at beta = 1 and M = 256.
+    frame = full_group_frame(m)
+    p = ModelParams.from_snr(m=m, t=beta * m, snr=snr)
+    eps = np.finfo(float).eps
+    for k in range(200):
+        trial = model.draw_trial(p, RngStream(41, k), frame=frame, truth=k % m + 1)
+        ref = whitened_ml_scores(frame, trial.gram, trial.u)
+        new = detectors.full_group_ml_scores(trial.v, trial.gram)
+        tol = 1e-12 + (eps * np.linalg.cond(trial.gram) if beta == 1 else 0.0)
+        assert np.abs(new - ref).max() <= tol * np.abs(ref).max()
+        assert detectors.detect_ml_full_group(trial.v, trial.gram) == int(np.argmax(ref)) + 1
+
+
+@pytest.mark.parametrize("m,draws", [(8, 40), (16, 15)])
+def test_full_group_ml_scores_exact_at_beta_one(m, draws):
+    # At T = M, G is ill-conditioned; against 40-digit arithmetic on the same
+    # G and v the rank-one scores stay at double precision.
+    mpmath = pytest.importorskip("mpmath")
+    frame = full_group_frame(m)
+    p = ModelParams.from_snr(m=m, t=m, snr=1.0)
+    for k in range(draws):
+        trial = model.draw_trial(p, RngStream(43, k), frame=frame)
+        with mpmath.workdps(40):
+            a = mpmath.matrix(frame.entries.tolist())
+            g_inv = mpmath.matrix(trial.gram.tolist()) ** -1
+            w = a.T * (a * g_inv * a.T) ** -1
+            u = a * g_inv * mpmath.matrix(trial.v.tolist())
+            exact = np.array([float((w[j, :] * u)[0] - (w[j, :] * a[:, j])[0] / 2)
+                              for j in range(m)])
+        new = detectors.full_group_ml_scores(trial.v, trial.gram)
+        assert np.abs(new - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_full_group_ml_rank_one_term_matters():
+    # Power control: dropping the rank-one term leaves the mfml score
+    # v_k - G_kk / 2, a different rule that disagrees with ML on u.
+    frame = full_group_frame(16)
+    p = ModelParams.from_snr(m=16, t=32, snr=0.5)
+    differ = 0
+    for k in range(200):
+        trial = model.draw_trial(p, RngStream(41, k), frame=frame, truth=k % 16 + 1)
+        ml = int(np.argmax(whitened_ml_scores(frame, trial.gram, trial.u))) + 1
+        differ += detectors.detect_mfml(trial.v, np.diag(trial.gram)) != ml
+    assert differ > 0
+
+
 def test_whiten_matches_direct_covariance():
     frame = frame_16x5()
     p = ModelParams.from_snr(m=16, t=32, snr=1.0)
@@ -143,8 +215,6 @@ def test_whiten_matches_direct_covariance():
 def test_whitened_statistic_has_white_covariance():
     # The whitening path turns the compressed statistic into one with
     # covariance sigma^2 I for a fixed ensemble.
-    from scipy.linalg import solve_triangular
-
     frame = frame_7x8()
     p = ModelParams.from_snr(m=8, t=16, snr=1.0)
     signals = model.draw_signals(p, RngStream(61, 0))

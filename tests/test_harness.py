@@ -86,6 +86,27 @@ def test_adding_mfml_leaves_other_counts_unchanged():
     assert more.per_detector["mfml"].errors < base.per_detector["mf"].errors
 
 
+M8_ALL = dict(m=8, t=16, n=7, snr=2.0, trials=4000, detectors=harness.DETECTOR_NAMES)
+M16_KAPPA3 = dict(m=16, t=32, n=5, snr=2.0, trials=2000, detectors=("ml", "mrdd"))
+
+
+# Recorded when ML on u was computed by whitening at every kappa: the rank-one
+# rule at kappa = 1 (M8_ALL) and whitening at kappa = 3 (M16_KAPPA3) must give
+# the same verdicts on the same draws.
+@pytest.mark.parametrize("config,seed,errors", [
+    (M8_ALL, 0, dict(mf=130, mfml=12, ml=18, mrdd=117, rdd=290)),
+    (M8_ALL, 5, dict(mf=123, mfml=13, ml=17, mrdd=131, rdd=315)),
+    (M8_ALL, 606, dict(mf=148, mfml=8, ml=13, mrdd=137, rdd=327)),
+    (M16_KAPPA3, 0, dict(ml=245, mrdd=324)),
+    (M16_KAPPA3, 5, dict(ml=222, mrdd=302)),
+    (M16_KAPPA3, 606, dict(ml=215, mrdd=317)),
+], ids=["m8-s0", "m8-s5", "m8-s606", "m16-s0", "m16-s5", "m16-s606"])
+def test_error_counts_pinned(config, seed, errors):
+    result = harness.run(harness.ExperimentSpec(seed=seed, **config))
+    assert {k: d.errors for k, d in result.per_detector.items()} == errors
+    assert result.discarded_trials == 0
+
+
 def test_run_is_replayable():
     spec = harness.ExperimentSpec(m=8, t=16, snr=2.0, trials=500, n=7, detectors=("ml",), seed=9)
     a = harness.run(spec).per_detector["ml"].errors

@@ -16,7 +16,8 @@ END_TO_END = ("throughput_per_s", "op_s", "setup_s", "peak_rss_mb")
 
 
 @pytest.mark.parametrize("workload,trace", [("frame_scale", 0), ("frame_scale", 1),
-                                            ("small_all", 1)])
+                                            ("small_all", 0), ("small_all", 1),
+                                            ("large_ml", 0), ("large_ml", 1)])
 def test_bench_run_ends_in_passing_result_line(workload, trace):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
             "--seconds", "1", "--trace", str(trace)]
