@@ -3,6 +3,13 @@
 ML on the compressed statistic u is computed by whitening in general, and at
 kappa = 1 as a rank-one correction of the matched-filter ML score.
 
+Every rule takes either one trial (v or u 1-D, G and its factor 2-D) and
+returns an int, or a block of trials stacked along a leading axis and returns
+an int array.  Each trial of a block goes through the same BLAS/LAPACK call
+on the same operands as it would alone (matrix-vector products are
+broadcast, never merged into one matrix product), so its scores and verdict
+are bit-identical to the one-trial call.
+
 Hypothesis indices returned by every detector are 1-based.  All ties break
 toward the lowest index (argmax/argmin return the first maximizer); ties
 have probability zero under continuous noise, so this only pins down test
@@ -23,10 +30,11 @@ from .model import gram_cholesky
 
 @dataclass(frozen=True)
 class WhitenedFrame:
-    """Whitened geometry of one trial: C = A G^{-1} A^T factored once.
+    """Whitened geometry of one trial, or of a block: C = A G^{-1} A^T factored once.
 
     columns holds L^{-1} A where C = L L^T, i.e. the hypothesis means of the
-    whitened statistic; col_sqnorm caches their squared norms.
+    whitened statistic; col_sqnorm caches their squared norms.  A block
+    stacks each array along a leading trial axis.
     """
 
     chol_c: np.ndarray
@@ -34,20 +42,33 @@ class WhitenedFrame:
     col_sqnorm: np.ndarray
 
 
+def _verdicts(scores: np.ndarray):
+    """1-based argmax over the last axis: an int for one trial, an array for a block."""
+    k = np.argmax(scores, axis=-1) + 1
+    return int(k) if k.ndim == 0 else k
+
+
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for one vec or a stack of them, one BLAS gemv per vector."""
+    return (mat @ vec[..., None])[..., 0]
+
+
 def whiten_from_cholesky(frame: Frame, chol_g: np.ndarray) -> WhitenedFrame:
     """Whiten the frame given an existing lower Cholesky factor of G.
 
     Lets a caller that already factored the Gram matrix (e.g. to compute the
-    compressed statistic) reuse that factor instead of refactoring.
+    compressed statistic) reuse that factor instead of refactoring.  chol_g
+    may be a stack of factors; SingularCovariance is then raised if any
+    trial's covariance is singular.
     """
     x = solve_triangular(chol_g, frame.entries.T, lower=True)
-    cov = x.T @ x
+    cov = np.swapaxes(x, -1, -2) @ x
     try:
         chol_c = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("compressed covariance is numerically singular") from exc
     columns = solve_triangular(chol_c, frame.entries, lower=True)
-    return WhitenedFrame(chol_c=chol_c, columns=columns, col_sqnorm=(columns * columns).sum(axis=0))
+    return WhitenedFrame(chol_c=chol_c, columns=columns, col_sqnorm=(columns * columns).sum(axis=-2))
 
 
 def whiten(frame: Frame, gram: np.ndarray) -> WhitenedFrame:
@@ -59,12 +80,12 @@ def whiten(frame: Frame, gram: np.ndarray) -> WhitenedFrame:
     return whiten_from_cholesky(frame, gram_cholesky(gram))
 
 
-def detect_mf(v: np.ndarray) -> int:
+def detect_mf(v: np.ndarray):
     """Matched filter: index of the largest inner product."""
-    return int(np.argmax(v)) + 1
+    return _verdicts(v)
 
 
-def detect_mfml(v: np.ndarray, col_sqnorm: np.ndarray) -> int:
+def detect_mfml(v: np.ndarray, col_sqnorm: np.ndarray):
     """Maximum likelihood verdict from the matched-filter outputs.
 
     Given the signals, v = G e_k + w with w ~ N(0, sigma^2 G), so ML maximizes
@@ -72,16 +93,16 @@ def detect_mfml(v: np.ndarray, col_sqnorm: np.ndarray) -> int:
     same verdict as argmin_k ||y - s_k||^2; the plain detect_mf drops the
     energy term.
     """
-    return int(np.argmax(v - 0.5 * col_sqnorm)) + 1
+    return _verdicts(v - 0.5 * col_sqnorm)
 
 
-def detect_ml_whitened(wf: WhitenedFrame, u: np.ndarray) -> int:
+def detect_ml_whitened(wf: WhitenedFrame, u: np.ndarray):
     """ML verdict given a prewhitened frame (see detect_ml)."""
-    u_w = solve_triangular(wf.chol_c, u, lower=True)
+    u_w = solve_triangular(wf.chol_c, u[..., None], lower=True)[..., 0]
     # Minimizing ||u_w - h_k||^2 over k is the same as maximizing
     # h_k^T u_w - ||h_k||^2 / 2 after dropping the k-independent ||u_w||^2.
-    scores = wf.columns.T @ u_w - 0.5 * wf.col_sqnorm
-    return int(np.argmax(scores)) + 1
+    scores = _matvec(np.swapaxes(wf.columns, -1, -2), u_w) - 0.5 * wf.col_sqnorm
+    return _verdicts(scores)
 
 
 def full_group_ml_scores(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -97,14 +118,15 @@ def full_group_ml_scores(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
     the detect_mfml score with the all-ones direction projected out: O(M^2)
     from G, with no N x N covariance, Cholesky or triangular solve.
     """
-    g = gram.sum(axis=1)
-    q = g.sum()
-    return (v - 0.5 * np.diagonal(gram)) - (g / q) * (v.sum() - 0.5 * g)
+    g = gram.sum(axis=-1)
+    q = g.sum(axis=-1, keepdims=True)
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    return (v - 0.5 * diag) - (g / q) * (v.sum(axis=-1, keepdims=True) - 0.5 * g)
 
 
-def detect_ml_full_group(v: np.ndarray, gram: np.ndarray) -> int:
+def detect_ml_full_group(v: np.ndarray, gram: np.ndarray):
     """ML verdict on u at kappa = 1 (see full_group_ml_scores), from v and G."""
-    return int(np.argmax(full_group_ml_scores(v, gram))) + 1
+    return _verdicts(full_group_ml_scores(v, gram))
 
 
 def detect_ml(frame: Frame, gram: np.ndarray, u: np.ndarray) -> int:
@@ -118,11 +140,11 @@ def detect_ml(frame: Frame, gram: np.ndarray, u: np.ndarray) -> int:
     return detect_ml_whitened(whiten(frame, gram), u)
 
 
-def detect_mrdd(frame: Frame, u: np.ndarray) -> int:
+def detect_mrdd(frame: Frame, u: np.ndarray):
     """Linear detector: largest signed correlation a_k^T u."""
-    return int(np.argmax(frame.entries.T @ u)) + 1
+    return _verdicts(_matvec(frame.entries.T, u))
 
 
-def detect_rdd(frame: Frame, u: np.ndarray) -> int:
+def detect_rdd(frame: Frame, u: np.ndarray):
     """Original reduced-dimensionality rule: largest |a_k^T u|."""
-    return int(np.argmax(np.abs(frame.entries.T @ u))) + 1
+    return _verdicts(np.abs(_matvec(frame.entries.T, u)))

@@ -7,10 +7,15 @@ makes paired comparisons low-variance, and the Gram Cholesky factor is
 computed once per trial and shared.  ML on u whitens the frame against G
 (kappa >= 3); at kappa = 1 the group frame's null space is the all-ones line,
 and ML on u is the matched-filter ML score with that direction projected out
-(detectors.full_group_ml_scores), computed from G without whitening.
+(detectors.full_group_ml_scores), computed from G without whitening.  u
+itself is formed only when a rule reads it (mrdd, rdd, whitened ML).
 
-Trials are keyed by stream id, so the result is a pure function of
-(spec, seed) and is identical for any thread count or execution order.
+Trials run in blocks (_block_verdicts): each trial draws from its own
+stream into stacked arrays, and every later step runs once over the stack,
+through the same BLAS/LAPACK call per trial as a lone trial would make, so
+the verdicts do not depend on the block size.  Trials are keyed by stream
+id, so the result is a pure function of (spec, seed) and is identical for
+any thread count or execution order.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from . import frames, gf2m, theory
 from .detectors import (
     detect_mf, detect_mfml, detect_ml_full_group, detect_ml_whitened, detect_mrdd, detect_rdd,
     whiten_from_cholesky,
 )
-from .errors import ConfigError, NumericalFailure, SingularCovariance, SingularGram
+from .errors import ConfigError, NumericalFailure, SingularCovariance
 from .model import ModelParams
 from .rng import RngStream
 from .stats import clopper_pearson
@@ -43,7 +48,8 @@ COMPRESSED = ("ml", "mrdd", "rdd")
 MIN_ERRORS_FOR_EXPONENT = 10
 MAX_DISCARD_FRACTION = 1e-3
 _MAX_ATTEMPTS = 64
-_CHUNK = 256
+_CHUNK = 256  # trials per work item; a multiple of rng._KEY_BLOCK
+_BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked signal matrices
 
 
 @dataclass(frozen=True)
@@ -133,50 +139,132 @@ def build_frame_for(spec: ExperimentSpec) -> Optional[frames.Frame]:
     return frames.build_group_hadamard(gf2m.FieldCtx.standard(r), spec.n)
 
 
+class _DegenerateTrials(ArithmeticError):
+    """Some trials of a block have a singular Gram or covariance; failed masks them."""
+
+    def __init__(self, failed: np.ndarray):
+        super().__init__(f"{int(failed.sum())} degenerate trials")
+        self.failed = failed
+
+
+def _failures(fn, stack, error) -> np.ndarray:
+    """Mask of the stack items on which fn raises error, found item by item."""
+    failed = np.zeros(len(stack), dtype=bool)
+    for i, item in enumerate(stack):
+        try:
+            fn(item)
+        except error:
+            failed[i] = True
+    return failed
+
+
+def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G^{-1} v for each trial of a block, from the lower Cholesky factors of G.
+
+    LAPACK potrs per trial, the routine scipy.linalg.cho_solve calls, without
+    its argument checks; the result is bit-identical to cho_solve's.
+    """
+    out = np.empty_like(rhs)
+    for i, (factor, vec) in enumerate(zip(chol, rhs)):
+        out[i], info = dpotrs(factor, vec, lower=1)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return out
+
+
+def _block_size(m: int, t: int) -> int:
+    """Trials per block: as many T x M signal matrices as _BLOCK_BYTES holds, at most _CHUNK."""
+    return max(1, min(_CHUNK, _BLOCK_BYTES // (8 * m * t)))
+
+
+def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
+    """(truth, {detector: verdicts}) for a block of trials, all at one attempt.
+
+    Each trial draws from its own stream, in the order signals, truth, noise,
+    so a block replays exactly what each trial would draw alone.  work holds
+    the (signals, noise, Gram) buffers, with room for at least len(trials)
+    trials.
+    Raises _DegenerateTrials when a Gram or compressed covariance is singular.
+    """
+    dets = spec.detectors
+    b, m = len(trials), params.m
+    signals, noise, gram = (buf[:b] for buf in work)
+    truth = np.ones(b, dtype=np.int64)
+    for i, trial in enumerate(trials.tolist()):
+        gen = RngStream(spec.seed, trial).generator(attempt)
+        gen.standard_normal(out=signals[i])
+        if spec.randomize_truth:
+            truth[i] = gen.integers(1, m + 1)
+        gen.standard_normal(out=noise[i])
+    signals *= params.energy
+    y = signals[np.arange(b), :, truth - 1] + params.sigma * noise
+    signals_t = np.swapaxes(signals, 1, 2)
+    v = (signals_t @ y[:, :, None])[:, :, 0]
+
+    verdicts = {}
+    if "mf" in dets:
+        verdicts["mf"] = detect_mf(v)
+    if "mfml" in dets:
+        verdicts["mfml"] = detect_mfml(v, np.einsum("btm,btm->bm", signals, signals))
+    if frame is None:
+        return truth, verdicts
+
+    np.matmul(signals_t, signals, out=gram)
+    try:
+        chol_g = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise _DegenerateTrials(_failures(np.linalg.cholesky, gram, np.linalg.LinAlgError)) from None
+    whitened = "ml" in dets and frame.kappa != 1
+    if "ml" in dets and not whitened:
+        verdicts["ml"] = detect_ml_full_group(v, gram)
+    if whitened:
+        try:
+            wf = whiten_from_cholesky(frame, chol_g)
+        except SingularCovariance:
+            failed = _failures(lambda c: whiten_from_cholesky(frame, c), chol_g, SingularCovariance)
+            raise _DegenerateTrials(failed) from None
+    if whitened or "mrdd" in dets or "rdd" in dets:
+        u = (frame.entries @ cho_solve(chol_g, v)[:, :, None])[:, :, 0]
+        if whitened:
+            verdicts["ml"] = detect_ml_whitened(wf, u)
+        if "mrdd" in dets:
+            verdicts["mrdd"] = detect_mrdd(frame, u)
+        if "rdd" in dets:
+            verdicts["rdd"] = detect_rdd(frame, u)
+    return truth, verdicts
+
+
 def _trial_counts(spec, params, frame, lo, hi):
-    """Error counts for trials [lo, hi); returns (counts dict, discards)."""
+    """Error counts for trials [lo, hi); returns (counts dict, discards).
+
+    Trials run in blocks (_block_verdicts).  A trial whose Gram or covariance
+    is singular is discarded and redrawn from its next attempt's stream; the
+    rest of its block is evaluated again at the same attempt, which replays
+    the same draws.
+    """
     counts = dict.fromkeys(spec.detectors, 0)
     discards = 0
-    sigma = params.sigma
-    for trial in range(lo, hi):
-        stream = RngStream(spec.seed, trial)
-        for attempt in range(_MAX_ATTEMPTS):
-            gen = stream.generator(attempt)
-            signals = params.energy * gen.standard_normal((params.t, params.m))
-            truth = int(gen.integers(1, params.m + 1)) if spec.randomize_truth else 1
-            y = signals[:, truth - 1] + sigma * gen.standard_normal(params.t)
-            v = signals.T @ y
-            try:
-                verdicts = {}
-                if "mf" in counts:
-                    verdicts["mf"] = detect_mf(v)
-                if "mfml" in counts:
-                    verdicts["mfml"] = detect_mfml(v, np.einsum("tm,tm->m", signals, signals))
-                if frame is not None:
-                    gram = signals.T @ signals
-                    try:
-                        chol_g = np.linalg.cholesky(gram)
-                    except np.linalg.LinAlgError as exc:
-                        raise SingularGram("Gram matrix is numerically singular") from exc
-                    u = frame.entries @ cho_solve((chol_g, True), v)
-                    if "ml" in counts and frame.kappa == 1:
-                        verdicts["ml"] = detect_ml_full_group(v, gram)
-                    elif "ml" in counts:
-                        wf = whiten_from_cholesky(frame, chol_g)
-                        verdicts["ml"] = detect_ml_whitened(wf, u)
-                    if "mrdd" in counts:
-                        verdicts["mrdd"] = detect_mrdd(frame, u)
-                    if "rdd" in counts:
-                        verdicts["rdd"] = detect_rdd(frame, u)
-            except (SingularGram, SingularCovariance):
-                discards += 1
-                continue
-            for name, verdict in verdicts.items():
-                if verdict != truth:
-                    counts[name] += 1
-            break
-        else:
-            raise NumericalFailure(f"trial {trial} failed {_MAX_ATTEMPTS} redraw attempts")
+    size = _block_size(params.m, params.t)
+    # The block buffers live across blocks.  Freeing megabytes at the end of
+    # every block lets malloc hand them back to the system, and the next block
+    # page-faults them in again: ~400 faults and up to 20% of a trial at M=256.
+    t, m = params.t, params.m
+    work = np.empty((size, t, m)), np.empty((size, t)), np.empty((size, m, m))
+    pending = [(np.arange(start, min(start + size, hi)), 0) for start in range(lo, hi, size)]
+    while pending:
+        trials, attempt = pending.pop()
+        if attempt == _MAX_ATTEMPTS:
+            raise NumericalFailure(f"trial {trials[0]} failed {_MAX_ATTEMPTS} redraw attempts")
+        try:
+            truth, verdicts = _block_verdicts(spec, params, frame, trials, attempt, work)
+        except _DegenerateTrials as exc:
+            discards += int(exc.failed.sum())
+            pending.append((trials[exc.failed], attempt + 1))
+            if not exc.failed.all():
+                pending.append((trials[~exc.failed], attempt))
+            continue
+        for name, verdict in verdicts.items():
+            counts[name] += int(np.count_nonzero(verdict != truth))
     return counts, discards
 
 

@@ -107,6 +107,14 @@ def test_error_counts_pinned(config, seed, errors):
     assert result.discarded_trials == 0
 
 
+# ML alone at kappa = 1 forms no u; it keeps the verdicts pinned above.
+@pytest.mark.parametrize("seed,errors", [(0, 18), (5, 17), (606, 13)])
+def test_ml_only_counts_pinned(seed, errors):
+    result = harness.run(harness.ExperimentSpec(seed=seed, **dict(M8_ALL, detectors=("ml",))))
+    assert result.per_detector["ml"].errors == errors
+    assert result.discarded_trials == 0
+
+
 def test_run_is_replayable():
     spec = harness.ExperimentSpec(m=8, t=16, snr=2.0, trials=500, n=7, detectors=("ml",), seed=9)
     a = harness.run(spec).per_detector["ml"].errors
