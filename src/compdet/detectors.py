@@ -42,7 +42,7 @@ class WhitenedFrame:
     col_sqnorm: np.ndarray
 
 
-def _verdicts(scores: np.ndarray):
+def _verdicts(scores: np.ndarray) -> int | np.ndarray:
     """1-based argmax over the last axis: an int for one trial, an array for a block."""
     k = np.argmax(scores, axis=-1) + 1
     return int(k) if k.ndim == 0 else k
@@ -80,12 +80,12 @@ def whiten(frame: Frame, gram: np.ndarray) -> WhitenedFrame:
     return whiten_from_cholesky(frame, gram_cholesky(gram))
 
 
-def detect_mf(v: np.ndarray):
+def detect_mf(v: np.ndarray) -> int | np.ndarray:
     """Matched filter: index of the largest inner product."""
     return _verdicts(v)
 
 
-def detect_mfml(v: np.ndarray, col_sqnorm: np.ndarray):
+def detect_mfml(v: np.ndarray, col_sqnorm: np.ndarray) -> int | np.ndarray:
     """Maximum likelihood verdict from the matched-filter outputs.
 
     Given the signals, v = G e_k + w with w ~ N(0, sigma^2 G), so ML maximizes
@@ -96,7 +96,7 @@ def detect_mfml(v: np.ndarray, col_sqnorm: np.ndarray):
     return _verdicts(v - 0.5 * col_sqnorm)
 
 
-def detect_ml_whitened(wf: WhitenedFrame, u: np.ndarray):
+def detect_ml_whitened(wf: WhitenedFrame, u: np.ndarray) -> int | np.ndarray:
     """ML verdict given a prewhitened frame (see detect_ml)."""
     u_w = solve_triangular(wf.chol_c, u[..., None], lower=True)[..., 0]
     # Minimizing ||u_w - h_k||^2 over k is the same as maximizing
@@ -124,7 +124,7 @@ def full_group_ml_scores(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return (v - 0.5 * diag) - (g / q) * (v.sum(axis=-1, keepdims=True) - 0.5 * g)
 
 
-def detect_ml_full_group(v: np.ndarray, gram: np.ndarray):
+def detect_ml_full_group(v: np.ndarray, gram: np.ndarray) -> int | np.ndarray:
     """ML verdict on u at kappa = 1 (see full_group_ml_scores), from v and G."""
     return _verdicts(full_group_ml_scores(v, gram))
 
@@ -140,11 +140,11 @@ def detect_ml(frame: Frame, gram: np.ndarray, u: np.ndarray) -> int:
     return detect_ml_whitened(whiten(frame, gram), u)
 
 
-def detect_mrdd(frame: Frame, u: np.ndarray):
+def detect_mrdd(frame: Frame, u: np.ndarray) -> int | np.ndarray:
     """Linear detector: largest signed correlation a_k^T u."""
     return _verdicts(_matvec(frame.entries.T, u))
 
 
-def detect_rdd(frame: Frame, u: np.ndarray):
+def detect_rdd(frame: Frame, u: np.ndarray) -> int | np.ndarray:
     """Original reduced-dimensionality rule: largest |a_k^T u|."""
     return _verdicts(np.abs(_matvec(frame.entries.T, u)))

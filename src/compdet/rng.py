@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 _KEY_BLOCK = 256  # stream ids keyed together; harness chunks align with it
-_KEY_CACHE_BLOCKS = 64
+_KEY_CACHE_BLOCKS = 16  # blocks in flight: one per worker thread, plus redraws
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
