@@ -50,7 +50,7 @@ def _verdicts(scores: np.ndarray) -> int | np.ndarray:
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """mat @ vec for one vec or a stack of them, one BLAS gemv per vector."""
-    return (mat @ vec[..., None])[..., 0]
+    return mat @ vec if vec.ndim == 1 else (mat @ vec[..., None])[..., 0]
 
 
 def whiten_from_cholesky(frame: Frame, chol_g: np.ndarray) -> WhitenedFrame:

@@ -139,14 +139,6 @@ def build_frame_for(spec: ExperimentSpec) -> Optional[frames.Frame]:
     return frames.build_group_hadamard(gf2m.FieldCtx.standard(r), spec.n)
 
 
-class _DegenerateTrials(ArithmeticError):
-    """Some trials of a block have a singular Gram or covariance; failed masks them."""
-
-    def __init__(self, failed: np.ndarray):
-        super().__init__(f"{int(failed.sum())} degenerate trials")
-        self.failed = failed
-
-
 def _failures(fn, stack, error) -> np.ndarray:
     """Mask of the stack items on which fn raises error, found item by item."""
     failed = np.zeros(len(stack), dtype=bool)
@@ -178,13 +170,13 @@ def _block_size(m: int, t: int) -> int:
 
 
 def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
-    """(truth, {detector: verdicts}) for a block of trials, all at one attempt.
+    """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
 
     Each trial draws from its own stream, in the order signals, truth, noise,
     so a block replays exactly what each trial would draw alone.  work holds
     the (signals, noise, Gram) buffers, with room for at least len(trials)
-    trials.
-    Raises _DegenerateTrials when a Gram or compressed covariance is singular.
+    trials.  failed is None, or, when a Gram or compressed covariance is
+    singular, the mask of the trials that failed (and verdicts is empty).
     """
     dets = spec.detectors
     b, m = len(trials), params.m
@@ -207,13 +199,13 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
     if "mfml" in dets:
         verdicts["mfml"] = detect_mfml(v, np.einsum("btm,btm->bm", signals, signals))
     if frame is None:
-        return truth, verdicts
+        return truth, verdicts, None
 
     np.matmul(signals_t, signals, out=gram)
     try:
         chol_g = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise _DegenerateTrials(_failures(np.linalg.cholesky, gram, np.linalg.LinAlgError)) from None
+        return truth, {}, _failures(np.linalg.cholesky, gram, np.linalg.LinAlgError)
     whitened = "ml" in dets and frame.kappa != 1
     if "ml" in dets and not whitened:
         verdicts["ml"] = detect_ml_full_group(v, gram)
@@ -222,7 +214,7 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
             wf = whiten_from_cholesky(frame, chol_g)
         except SingularCovariance:
             failed = _failures(lambda c: whiten_from_cholesky(frame, c), chol_g, SingularCovariance)
-            raise _DegenerateTrials(failed) from None
+            return truth, {}, failed
     if whitened or "mrdd" in dets or "rdd" in dets:
         u = (frame.entries @ cho_solve(chol_g, v)[:, :, None])[:, :, 0]
         if whitened:
@@ -231,7 +223,7 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
             verdicts["mrdd"] = detect_mrdd(frame, u)
         if "rdd" in dets:
             verdicts["rdd"] = detect_rdd(frame, u)
-    return truth, verdicts
+    return truth, verdicts, None
 
 
 def _trial_counts(spec, params, frame, lo, hi):
@@ -255,13 +247,12 @@ def _trial_counts(spec, params, frame, lo, hi):
         trials, attempt = pending.pop()
         if attempt == _MAX_ATTEMPTS:
             raise NumericalFailure(f"trial {trials[0]} failed {_MAX_ATTEMPTS} redraw attempts")
-        try:
-            truth, verdicts = _block_verdicts(spec, params, frame, trials, attempt, work)
-        except _DegenerateTrials as exc:
-            discards += int(exc.failed.sum())
-            pending.append((trials[exc.failed], attempt + 1))
-            if not exc.failed.all():
-                pending.append((trials[~exc.failed], attempt))
+        truth, verdicts, failed = _block_verdicts(spec, params, frame, trials, attempt, work)
+        if failed is not None:
+            discards += int(failed.sum())
+            pending.append((trials[failed], attempt + 1))
+            if not failed.all():
+                pending.append((trials[~failed], attempt))
             continue
         for name, verdict in verdicts.items():
             counts[name] += int(np.count_nonzero(verdict != truth))
