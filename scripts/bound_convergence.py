@@ -31,11 +31,11 @@ def main():
         n = m - 1
         t = round(args.beta * m)
         mu = frames.coherence_bound(m, n)
-        upper, lower = theory.finite_bounds_ml(m, n, t, mu, args.snr)
-        exp_lo = -math.log(upper) / m
-        exp_hi = -math.log(lower) / m
+        log_upper, log_lower = theory.log_finite_bounds_ml(m, n, t, mu, args.snr)
+        exp_lo = -log_upper / m
+        exp_hi = -log_lower / m
         emp = ""
-        if m <= 16 and upper * args.trials >= 10:
+        if m <= 16 and math.exp(log_upper) * args.trials >= 10:
             spec = harness.ExperimentSpec(
                 m=m, t=t, snr=args.snr, trials=args.trials, n=n,
                 detectors=("ml",), seed=args.seed,

@@ -18,7 +18,7 @@ from .errors import (
     SingularCovariance,
     SingularGram,
 )
-from .frames import Frame, build_group_hadamard, coherence, coherence_bound
+from .frames import Frame, build_group_hadamard, coherence_bound
 from .gf2m import FieldCtx
 from .harness import ExperimentResult, ExperimentSpec, run, sweep
 from .model import ModelParams, TrialDraw, draw_trial
@@ -28,7 +28,7 @@ from .theory import TheoryPoint, exponent_mf, exponent_ml, exponent_mrdd
 __all__ = [
     "CompdetError", "ConfigError", "DomainError", "FieldError", "NotADivisor",
     "NumericalFailure", "SingularCovariance", "SingularGram",
-    "Frame", "build_group_hadamard", "coherence", "coherence_bound",
+    "Frame", "build_group_hadamard", "coherence_bound",
     "FieldCtx", "ExperimentResult", "ExperimentSpec", "run", "sweep",
     "ModelParams", "TrialDraw", "draw_trial", "RngStream",
     "TheoryPoint", "exponent_mf", "exponent_ml", "exponent_mrdd",

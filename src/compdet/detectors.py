@@ -25,7 +25,6 @@ from scipy.linalg import solve_triangular
 
 from .errors import SingularCovariance
 from .frames import Frame
-from .model import gram_cholesky
 
 
 @dataclass(frozen=True)
@@ -71,15 +70,6 @@ def whiten_from_cholesky(frame: Frame, chol_g: np.ndarray) -> WhitenedFrame:
     return WhitenedFrame(chol_c=chol_c, columns=columns, col_sqnorm=(columns * columns).sum(axis=-2))
 
 
-def whiten(frame: Frame, gram: np.ndarray) -> WhitenedFrame:
-    """Factor C = A G^{-1} A^T and whiten the frame columns.
-
-    Uses one Cholesky of G, one triangular solve per frame row, and one
-    Cholesky of C; raises SingularGram/SingularCovariance on breakdown.
-    """
-    return whiten_from_cholesky(frame, gram_cholesky(gram))
-
-
 def detect_mf(v: np.ndarray) -> int | np.ndarray:
     """Matched filter: index of the largest inner product."""
     return _verdicts(v)
@@ -97,7 +87,11 @@ def detect_mfml(v: np.ndarray, col_sqnorm: np.ndarray) -> int | np.ndarray:
 
 
 def detect_ml_whitened(wf: WhitenedFrame, u: np.ndarray) -> int | np.ndarray:
-    """ML verdict given a prewhitened frame (see detect_ml)."""
+    """ML verdict on u, given its whitened frame (see whiten_from_cholesky).
+
+    Given the signals, u ~ N(a_k, sigma^2 C) with C = A G^{-1} A^T, so ML is
+    the nearest column in the Mahalanobis metric of C.
+    """
     u_w = solve_triangular(wf.chol_c, u[..., None], lower=True)[..., 0]
     # Minimizing ||u_w - h_k||^2 over k is the same as maximizing
     # h_k^T u_w - ||h_k||^2 / 2 after dropping the k-independent ||u_w||^2.
@@ -127,17 +121,6 @@ def full_group_ml_scores(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
 def detect_ml_full_group(v: np.ndarray, gram: np.ndarray) -> int | np.ndarray:
     """ML verdict on u at kappa = 1 (see full_group_ml_scores), from v and G."""
     return _verdicts(full_group_ml_scores(v, gram))
-
-
-def detect_ml(frame: Frame, gram: np.ndarray, u: np.ndarray) -> int:
-    """Maximum likelihood verdict for the compressed statistic, given G.
-
-    Conditionally on the signals, u is Gaussian with mean a_k and covariance
-    sigma^2 A G^{-1} A^T, so ML is the nearest column in the Mahalanobis
-    metric of C = A G^{-1} A^T (the noise scale is hypothesis-independent
-    and drops out).
-    """
-    return detect_ml_whitened(whiten(frame, gram), u)
 
 
 def detect_mrdd(frame: Frame, u: np.ndarray) -> int | np.ndarray:

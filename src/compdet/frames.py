@@ -40,17 +40,10 @@ class Frame:
 
 
 def _coherence_of(entries: np.ndarray) -> float:
+    """Largest |inner product| between distinct columns, from the dense Gram."""
     gram = entries.T @ entries
     off = np.abs(gram - np.diag(np.diag(gram)))
     return float(off.max())
-
-
-def frame_from_entries(entries: np.ndarray) -> Frame:
-    """Wrap an arbitrary column set as a Frame (used for test fixtures)."""
-    entries = np.asarray(entries, dtype=float)
-    n, m = entries.shape
-    kappa = (m - 1) // n if n and (m - 1) % n == 0 else 0
-    return Frame(m=m, n=n, entries=entries, mu=_coherence_of(entries), kappa=kappa)
 
 
 def build_group_hadamard(ctx: gf2m.FieldCtx, n: int) -> Frame:
@@ -85,11 +78,6 @@ def build_group_hadamard(ctx: gf2m.FieldCtx, n: int) -> Frame:
     return frame
 
 
-def coherence(frame: Frame) -> float:
-    """Largest |inner product| between distinct columns."""
-    return frame.mu
-
-
 def row_orthonormality_error(frame: Frame) -> float:
     """Max-norm deviation of A A^T from (M/N) I."""
     aat = frame.entries @ frame.entries.T
@@ -111,12 +99,3 @@ def coherence_bound(m: int, n: int) -> float:
     kappa = (m - 1) // n
     return ((kappa - 1) * math.sqrt((kappa + 1 / n) / n) + 1 / n) / kappa
 
-
-def difference_norm_bounds(frame: Frame) -> tuple:
-    """Analytic interval for the whitened column-difference energies.
-
-    Every ||(A A^T)^{-1/2} A (b_i - b_j)||^2 equals 2*alpha*(1 - g_ij) for a
-    row-orthonormal frame, hence lies in [2a(1-mu), 2a(1+mu)] with a = N/M.
-    """
-    a = frame.alpha
-    return 2.0 * a * (1.0 - frame.mu), 2.0 * a * (1.0 + frame.mu)

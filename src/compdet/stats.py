@@ -12,22 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import betaincinv, gammainc
 
-from .errors import DomainError
+from .detectors import whiten_from_cholesky
+from .errors import DomainError, SingularCovariance, SingularGram
 from .frames import Frame
-from .model import ModelParams
-from .rng import RngStream
+from .model import ModelParams, RngLike, as_generator, draw_signals, gram_cholesky, gram_matrix
 
 __all__ = [
-    "RngStream",
     "KsReport",
-    "sample_normal",
-    "chi2_mean_var",
     "chi2_cdf",
     "ks_statistic",
     "ks_critical_value",
@@ -36,27 +32,6 @@ __all__ = [
     "wishart_projection_check",
     "clopper_pearson",
 ]
-
-RngLike = Union[RngStream, np.random.Generator]
-
-
-def _gen(rng: RngLike) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngStream) else rng
-
-
-def sample_normal(rng: RngLike, count: int) -> np.ndarray:
-    """i.i.d. standard normal samples, deterministic per stream."""
-    if count < 0:
-        raise DomainError(f"sample count must be nonnegative, got {count}")
-    return _gen(rng).standard_normal(count)
-
-
-def chi2_mean_var(dof: int) -> tuple:
-    """Exact mean and variance of a chi-squared variable."""
-    if not isinstance(dof, int) or dof < 1:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {dof}")
-    return float(dof), float(2 * dof)
-
 
 def chi2_cdf(x, dof: int):
     """Chi-squared CDF via the regularized lower incomplete gamma."""
@@ -109,11 +84,12 @@ def sample_pair_distance2(
 ) -> np.ndarray:
     """Sample the whitened squared column distance over fresh ensembles.
 
-    Each sample draws a new T x M Gaussian signal matrix, forms
-    C = A G^{-1} A^T through Cholesky solves, and evaluates
-    (a_i - a_j)^T C^{-1} (a_i - a_j).  Degenerate draws (singular G) are
-    redrawn; they have probability zero and only occur through floating
-    point accidents.
+    Each sample draws a new T x M Gaussian signal matrix, whitens the frame
+    with the trial kernel's whiten_from_cholesky, and evaluates the squared
+    whitened column distance, (a_i - a_j)^T C^{-1} (a_i - a_j) with
+    C = A G^{-1} A^T.  Degenerate draws (singular G or C) are redrawn from the
+    same generator; they have probability zero and only occur through
+    floating point accidents.
     """
     i, j = pair
     for k in (i, j):
@@ -121,26 +97,17 @@ def sample_pair_distance2(
             raise DomainError(f"column index {k} outside 1..{frame.m}")
     if i == j:
         raise DomainError("pair indices must be distinct")
-    gen = _gen(rng)
-    c = frame.entries[:, i - 1] - frame.entries[:, j - 1]
-    at = frame.entries.T.copy()
+    gen = as_generator(rng)
     out = np.empty(n_samples)
     k = 0
     while k < n_samples:
-        signals = params.energy * gen.standard_normal((params.t, params.m))
-        gram = signals.T @ signals
+        signals = draw_signals(params, gen)
         try:
-            chol_g = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
+            columns = whiten_from_cholesky(frame, gram_cholesky(gram_matrix(signals))).columns
+        except (SingularGram, SingularCovariance):
             continue
-        x = solve_triangular(chol_g, at, lower=True)
-        cov = x.T @ x
-        try:
-            chol_c = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            continue
-        z = solve_triangular(chol_c, c, lower=True)
-        out[k] = z @ z
+        d = columns[:, i - 1] - columns[:, j - 1]
+        out[k] = d @ d
         k += 1
     return out
 

@@ -102,44 +102,8 @@ def q_lower_constant(epsilon: float) -> float:
     return math.exp(1 / pe) / (2 * (1 + epsilon)) * math.sqrt(epsilon * pe / math.pi)
 
 
-def q_lower(x: float, epsilon: float) -> float:
-    """Lower bound c(eps) * exp(-(1+eps) x^2 / 2), valid for x >= 0."""
-    _require(x >= 0, f"lower bound needs x >= 0, got {x}")
-    return q_lower_constant(epsilon) * math.exp(-(1 + epsilon) * x * x / 2)
-
-
-def q_upper(x: float) -> float:
-    """Upper bound exp(-x^2/2) / (x sqrt(2 pi)), valid for x > 0."""
-    if x <= 0:
-        raise DomainError(f"upper bound needs x > 0, got {x}")
-    return math.exp(-x * x / 2) / (x * math.sqrt(2 * math.pi))
-
-
-def q_bounds(x: float, epsilon: float) -> tuple:
-    """(lower, Q(x), upper) sandwich; requires x > 0 for the upper bound."""
-    if x <= 0:
-        raise DomainError(f"q_bounds needs x > 0 (the upper bound diverges), got {x}")
-    return q_lower(x, epsilon), float(q_function(x)), q_upper(x)
-
-
 # ---------------------------------------------------------------------------
 # Finite-M bounds
-
-
-def gallager_pairwise_bound(dist2: float, norm2: float, m: int, sigma2: float, rho: float = 1.0) -> float:
-    """Union-style upper bound on the conditional error probability.
-
-    For whitened geometry with squared pair distance dist2 and squared
-    column norm norm2, the bound is
-    (M-1)^rho * exp(-rho * [dist2 - (1-rho) norm2] / (2 sigma^2 (1+rho)^2));
-    at rho = 1 it reduces to (M-1) exp(-dist2 / (8 sigma^2)).
-    """
-    _require(0 <= rho <= 1, f"rho must be in [0, 1], got {rho}")
-    _require(sigma2 > 0, f"sigma2 must be positive, got {sigma2}")
-    _require(m >= 2, f"need at least two hypotheses, got {m}")
-    _require(dist2 >= 0, f"squared distance must be nonnegative, got {dist2}")
-    expo = -rho * (dist2 - (1 - rho) * norm2) / (2 * sigma2 * (1 + rho) ** 2)
-    return (m - 1) ** rho * math.exp(expo)
 
 
 def gamma_half_ratio(k: int) -> float:
@@ -160,17 +124,17 @@ def gamma_half_ratio(k: int) -> float:
     return r
 
 
-def gautschi_ratio_bounds(k: int) -> tuple:
-    """Two-sided bound sqrt(2/k) <= R(k) <= sqrt(2/(k-1)) for k >= 2."""
-    _require(k >= 2, f"need k >= 2, got {k}")
-    return math.sqrt(2 / k), math.sqrt(2 / (k - 1))
-
-
 def _check_bound_args(m: int, t: int, snr: float, epsilon: float):
     _require(m >= 2, f"need at least two hypotheses, got {m}")
     _require(t >= m, f"need t >= m, got t={t}, m={m}")
     _require(snr >= 0, f"snr must be >= 0, got {snr}")
     _require(epsilon > 0, f"epsilon must be positive, got {epsilon}")
+
+
+def _check_compressed_args(m: int, n: int, t: int, mu: float, snr: float, epsilon: float):
+    _check_bound_args(m, t, snr, epsilon)
+    _require(1 <= n <= m, f"need 1 <= n <= m, got n={n}, m={m}")
+    _require(0 <= mu < 1, f"coherence must be in [0, 1), got {mu}")
 
 
 def finite_bounds_mf(m: int, t: int, snr: float, epsilon: float = DEFAULT_EPSILON) -> tuple:
@@ -195,14 +159,26 @@ def finite_bounds_ml(m: int, n: int, t: int, mu: float, snr: float, epsilon: flo
     upper = M (1 + alpha SNR (1-mu)/2)^{-(T-M+N)/2}
     lower = c(eps) (1 + (1+eps) alpha SNR (1+mu)/2)^{-(T-M+N)/2}
     """
-    _check_bound_args(m, t, snr, epsilon)
-    _require(1 <= n <= m, f"need 1 <= n <= m, got n={n}, m={m}")
-    _require(0 <= mu < 1, f"coherence must be in [0, 1), got {mu}")
+    _check_compressed_args(m, n, t, mu, snr, epsilon)
     alpha = n / m
     half_dof = (t - m + n) / 2
     upper = m * (1 + alpha * snr * (1 - mu) / 2) ** -half_dof
     lower = q_lower_constant(epsilon) * (1 + (1 + epsilon) * alpha * snr * (1 + mu) / 2) ** -half_dof
     return upper, lower
+
+
+def log_finite_bounds_ml(m: int, n: int, t: int, mu: float, snr: float, epsilon: float = DEFAULT_EPSILON) -> tuple:
+    """(log upper, log lower) of finite_bounds_ml, through log1p.
+
+    Finite where those bounds underflow to 0.0 (already at M = 1024, T = 2048, SNR = 2).
+    """
+    _check_compressed_args(m, n, t, mu, snr, epsilon)
+    alpha = n / m
+    half_dof = (t - m + n) / 2
+    log_upper = math.log(m) - half_dof * math.log1p(alpha * snr * (1 - mu) / 2)
+    log_lower = math.log(q_lower_constant(epsilon)) - half_dof * math.log1p(
+        (1 + epsilon) * alpha * snr * (1 + mu) / 2)
+    return log_upper, log_lower
 
 
 def finite_bounds_mrdd(m: int, n: int, t: int, mu: float, snr: float, epsilon: float = DEFAULT_EPSILON) -> tuple:
@@ -213,9 +189,7 @@ def finite_bounds_mrdd(m: int, n: int, t: int, mu: float, snr: float, epsilon: f
     f(M) = M sqrt(1/(2 pi alpha (1-mu) SNR)) * Gamma((T-M)/2)/Gamma((T-M+1)/2).
     At T = M the prefactor diverges and the bound is vacuous (exponent 0).
     """
-    _check_bound_args(m, t, snr, epsilon)
-    _require(1 <= n <= m, f"need 1 <= n <= m, got n={n}, m={m}")
-    _require(0 <= mu < 1, f"coherence must be in [0, 1), got {mu}")
+    _check_compressed_args(m, n, t, mu, snr, epsilon)
     alpha = n / m
     half_dof = (t - m) / 2
     if snr == 0:
@@ -229,39 +203,6 @@ def finite_bounds_mrdd(m: int, n: int, t: int, mu: float, snr: float, epsilon: f
     upper = prefactor * (1 + (1 - mu) * alpha * snr / 2) ** -half_dof
     lower = q_lower_constant(epsilon) * (1 + (1 + epsilon) * (1 + mu) * alpha * snr / 2) ** -half_dof
     return upper, lower
-
-
-@dataclass(frozen=True)
-class BoundPoint:
-    """All six finite-M bounds evaluated at one configuration."""
-
-    m: int
-    n: int
-    t: int
-    mu: float
-    snr: float
-    upper_ml: float
-    lower_ml: float
-    upper_mrdd: float
-    lower_mrdd: float
-    upper_mf: float
-    lower_mf: float
-    epsilon: float
-    rho: float = 1.0
-
-
-def bound_point(m: int, n: int, t: int, mu: float, snr: float, epsilon: float = DEFAULT_EPSILON) -> BoundPoint:
-    """Evaluate every finite-M bound at one configuration."""
-    upper_ml, lower_ml = finite_bounds_ml(m, n, t, mu, snr, epsilon)
-    upper_mrdd, lower_mrdd = finite_bounds_mrdd(m, n, t, mu, snr, epsilon)
-    upper_mf, lower_mf = finite_bounds_mf(m, t, snr, epsilon)
-    return BoundPoint(
-        m=m, n=n, t=t, mu=mu, snr=snr,
-        upper_ml=upper_ml, lower_ml=lower_ml,
-        upper_mrdd=upper_mrdd, lower_mrdd=lower_mrdd,
-        upper_mf=upper_mf, lower_mf=lower_mf,
-        epsilon=epsilon,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 
-from compdet import cli, harness
+from compdet import cli, harness, stats
 
 GOLDEN_HEADER = (
     "m,n,t,alpha,beta,snr,detector,trials,errors,p_hat,ci_lo,ci_hi,"
@@ -209,6 +209,23 @@ def test_validate_quick_passes(capsys):
     for name in ("frame-geometry", "wishart-projection-ks", "bound-sandwich",
                   "detector-ordering"):
         assert name in out
+
+
+def test_validate_wishart_check_draws_once(monkeypatch):
+    # The exact-dof KS test, the mean ratio and the wrong-dof control all
+    # read one sample array; the detail line is pinned at seed 0.
+    calls = []
+    real_sample = stats.sample_pair_distance2
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "sample_pair_distance2", counted)
+    ok, detail = cli._check_wishart(0, 2000)
+    assert ok and calls == [2000]
+    assert detail == ("KS D=0.0211 (crit 0.0364), mean ratio 1.013, "
+                      "wrong-dof D=0.3362 rejected")
 
 
 def test_validate_full_feeds_both_checks_from_one_run(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from scipy.linalg import solve_triangular
 from compdet import detectors, frames, gf2m, model
 from compdet.model import ModelParams
 from compdet.rng import RngStream
+from frame_fixtures import frame_from_entries
 
 
 def frame_7x8():
@@ -17,6 +18,14 @@ def frame_7x8():
 
 def frame_16x5():
     return frames.build_group_hadamard(gf2m.FieldCtx.standard(4), 5)
+
+
+def whiten(frame, gram):
+    return detectors.whiten_from_cholesky(frame, np.linalg.cholesky(gram))
+
+
+def detect_ml(frame, gram, u):
+    return detectors.detect_ml_whitened(whiten(frame, gram), u)
 
 
 # --- matched filter ---
@@ -73,11 +82,11 @@ def test_ml_square_orthonormal_frame_equals_mfml():
     # u and ML on v are the same rule.
     rng = np.random.default_rng(5)
     h, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    frame = frames.frame_from_entries(h)
+    frame = frame_from_entries(h)
     p = ModelParams.from_snr(m=8, t=16, snr=2.0)
     for k in range(300):
         trial = model.draw_trial(p, RngStream(37, k), frame=frame)
-        assert detectors.detect_ml(frame, trial.gram, trial.u) == detectors.detect_mfml(
+        assert detect_ml(frame, trial.gram, trial.u) == detectors.detect_mfml(
             trial.v, np.diag(trial.gram)
         )
 
@@ -88,13 +97,13 @@ def test_ml_zero_distance():
     frame = frame_7x8()
     gram = np.eye(8) * 3.0
     for k in (1, 4, 8):
-        assert detectors.detect_ml(frame, gram, frame.entries[:, k - 1].copy()) == k
+        assert detect_ml(frame, gram, frame.entries[:, k - 1].copy()) == k
 
 
 def test_ml_identity_covariance_midpoint_tie():
-    frame = frames.frame_from_entries(np.eye(4))
+    frame = frame_from_entries(np.eye(4))
     u = np.array([0.5, 0.5, 0.0, 0.0])
-    assert detectors.detect_ml(frame, np.eye(4), u) == 1
+    assert detect_ml(frame, np.eye(4), u) == 1
 
 
 def test_ml_agrees_with_explicit_density_oracle():
@@ -110,7 +119,7 @@ def test_ml_agrees_with_explicit_density_oracle():
             -0.5 * (trial.u - frame.entries[:, j]) @ cov_inv @ (trial.u - frame.entries[:, j])
             for j in range(8)
         ]
-        assert detectors.detect_ml(frame, trial.gram, trial.u) == int(np.argmax(logps)) + 1
+        assert detect_ml(frame, trial.gram, trial.u) == int(np.argmax(logps)) + 1
 
 
 def test_ml_square_orthonormal_frame_tracks_mf():
@@ -119,12 +128,12 @@ def test_ml_square_orthonormal_frame_tracks_mf():
     # borderline draws where the exact rule corrects the heuristic.
     rng = np.random.default_rng(5)
     h, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    frame = frames.frame_from_entries(h)
+    frame = frame_from_entries(h)
     p = ModelParams.from_snr(m=8, t=64, snr=8.0)
     agree = 0
     for k in range(1000):
         trial = model.draw_trial(p, RngStream(29, k), frame=frame)
-        agree += detectors.detect_ml(frame, trial.gram, trial.u) == detectors.detect_mf(trial.v)
+        agree += detect_ml(frame, trial.gram, trial.u) == detectors.detect_mf(trial.v)
     assert agree >= 990
 
 
@@ -135,7 +144,7 @@ def full_group_frame(m):
 
 
 def whitened_ml_scores(frame, gram, u):
-    wf = detectors.whiten(frame, gram)
+    wf = whiten(frame, gram)
     return wf.columns.T @ solve_triangular(wf.chol_c, u, lower=True) - 0.5 * wf.col_sqnorm
 
 
@@ -202,7 +211,7 @@ def test_whiten_matches_direct_covariance():
     frame = frame_16x5()
     p = ModelParams.from_snr(m=16, t=32, snr=1.0)
     trial = model.draw_trial(p, RngStream(3, 0), frame=frame)
-    wf = detectors.whiten(frame, trial.gram)
+    wf = whiten(frame, trial.gram)
     cov = frame.entries @ np.linalg.solve(trial.gram, frame.entries.T)
     np.testing.assert_allclose(wf.chol_c @ wf.chol_c.T, cov, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(
@@ -219,7 +228,7 @@ def test_whitened_statistic_has_white_covariance():
     p = ModelParams.from_snr(m=8, t=16, snr=1.0)
     signals = model.draw_signals(p, RngStream(61, 0))
     gram = model.gram_matrix(signals)
-    wf = detectors.whiten(frame, gram)
+    wf = whiten(frame, gram)
     draws = np.empty((2000, 7))
     for k in range(2000):
         y = model.receive(p, signals, 1, RngStream(61, k + 1))
@@ -273,6 +282,6 @@ def test_all_detectors_return_valid_indices():
         u = gen.standard_normal(5) * 10
         v = gen.standard_normal(16) * 10
         assert 1 <= detectors.detect_mf(v) <= 16
-        assert 1 <= detectors.detect_ml(frame, gram, u) <= 16
+        assert 1 <= detect_ml(frame, gram, u) <= 16
         assert 1 <= detectors.detect_mrdd(frame, u) <= 16
         assert 1 <= detectors.detect_rdd(frame, u) <= 16

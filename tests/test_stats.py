@@ -7,24 +7,28 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from compdet import frames, gf2m, stats
-from compdet.errors import DomainError
+from compdet import frames, gf2m, model, stats
+from compdet.errors import DomainError, SingularCovariance
 from compdet.model import ModelParams
 from compdet.rng import RngStream
 
 
 # --- streams ---
 
+def normals(stream, count):
+    return stream.generator().standard_normal(count)
+
+
 def test_streams_are_replayable():
-    a = stats.sample_normal(RngStream(99, 5), 1000)
-    b = stats.sample_normal(RngStream(99, 5), 1000)
+    a = normals(RngStream(99, 5), 1000)
+    b = normals(RngStream(99, 5), 1000)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = stats.sample_normal(RngStream(99, 5), 1000)
-    b = stats.sample_normal(RngStream(99, 6), 1000)
-    c = stats.sample_normal(RngStream(98, 5), 1000)
+    a = normals(RngStream(99, 5), 1000)
+    b = normals(RngStream(99, 6), 1000)
+    c = normals(RngStream(98, 5), 1000)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -37,38 +41,24 @@ def test_attempt_substreams_are_disjoint():
 
 
 def test_stream_independence_correlation():
-    a = stats.sample_normal(RngStream(123, 0), 100_000)
-    b = stats.sample_normal(RngStream(123, 1), 100_000)
+    a = normals(RngStream(123, 0), 100_000)
+    b = normals(RngStream(123, 1), 100_000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
 
 def test_normal_moments():
-    x = stats.sample_normal(RngStream(123, 0), 100_000)
+    x = normals(RngStream(123, 0), 100_000)
     assert abs(x.mean()) < 0.02
     assert abs(x.var() - 1.0) < 0.02
 
 
-def test_sample_normal_edge_cases():
-    assert stats.sample_normal(RngStream(0, 0), 0).size == 0
-    with pytest.raises(DomainError):
-        stats.sample_normal(RngStream(0, 0), -1)
-
-
 # --- chi-squared ---
-
-def test_chi2_mean_var():
-    assert stats.chi2_mean_var(1) == (1.0, 2.0)
-    assert stats.chi2_mean_var(9) == (9.0, 18.0)
-    with pytest.raises(DomainError):
-        stats.chi2_mean_var(0)
-
 
 def test_chi2_empirical_mean():
     dof = 6
     gen = RngStream(55, 0).generator()
     sums = (gen.standard_normal((10_000, dof)) ** 2).sum(axis=1)
-    mean, var = stats.chi2_mean_var(dof)
-    assert abs(sums.mean() - mean) < 3 * math.sqrt(var / 10_000)
+    assert abs(sums.mean() - dof) < 3 * math.sqrt(2 * dof / 10_000)
 
 
 def test_chi2_cdf_matches_known_points():
@@ -114,6 +104,30 @@ def test_wishart_projection_mean():
     scale = stats.pair_scale(params.energy, frame, (1, 2))
     dof = params.t - params.m + frame.n
     assert abs(samples.mean() / (scale * dof) - 1.0) < 0.1
+
+
+def test_pair_distance_matches_explicit_inverse_and_redraws(monkeypatch):
+    # Each sample is (a_i - a_j)^T C^{-1} (a_i - a_j) with C = A G^{-1} A^T of
+    # its own draw; a draw whose covariance fails is replaced by the next one.
+    params, frame = _setup_16_5()
+    gen = RngStream(3, 0).generator()
+    grams = [model.gram_matrix(model.draw_signals(params, gen)) for _ in range(4)]
+    c = frame.entries[:, 0] - frame.entries[:, 1]
+    expect = [c @ np.linalg.solve(frame.entries @ np.linalg.solve(g, frame.entries.T), c)
+              for g in grams[1:]]
+    real_whiten = stats.whiten_from_cholesky
+    calls = []
+
+    def fail_first(frame_, chol_g):
+        calls.append(chol_g)
+        if len(calls) == 1:
+            raise SingularCovariance("forced")
+        return real_whiten(frame_, chol_g)
+
+    monkeypatch.setattr(stats, "whiten_from_cholesky", fail_first)
+    got = stats.sample_pair_distance2(params, frame, (1, 2), 3, RngStream(3, 0))
+    assert len(calls) == 4
+    np.testing.assert_allclose(got, expect, rtol=1e-10)
 
 
 def test_wishart_projection_wrong_dof_control_fails():

@@ -5,7 +5,12 @@ of the closed forms (and, for slopes, from finite differencing the exponent
 functions themselves).
 """
 
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -119,20 +124,24 @@ def test_quadratic_loglog_slopes():
 def test_q_values():
     assert abs(float(theory.q_function(0.0)) - 0.5) < 1e-15
     assert abs(float(theory.q_function(1.0)) - 0.15865525393145707) < 1e-12
-    assert abs(theory.q_upper(1.0) - 0.24197072451914337) < 1e-12
 
 
 def test_q_lower_constant_values():
     c_half = theory.q_lower_constant(0.5)
     expect = math.exp(1 / (math.pi / 2 + 2)) / 3 * math.sqrt((0.5 / math.pi) * (math.pi / 2 + 2))
     assert abs(c_half - expect) < 1e-15
-    assert abs(theory.q_lower(1.0, 0.5) - c_half * math.exp(-0.75)) < 1e-15
 
 
 def test_q_lower_constant_below_half():
     for eps in np.geomspace(1e-4, 100, 60):
         assert theory.q_lower_constant(float(eps)) <= 0.5
-    assert theory.q_lower(0.0, 0.3) <= 0.5  # lower bound valid at x = 0
+
+
+def q_bounds(x, eps):
+    # c(eps) e^{-(1+eps) x^2/2} <= Q(x) <= e^{-x^2/2} / (x sqrt(2 pi)) for x > 0.
+    lower = theory.q_lower_constant(eps) * math.exp(-(1 + eps) * x * x / 2)
+    upper = math.exp(-x * x / 2) / (x * math.sqrt(2 * math.pi))
+    return lower, float(theory.q_function(x)), upper
 
 
 def test_q_bounds_sandwich_grid():
@@ -140,7 +149,7 @@ def test_q_bounds_sandwich_grid():
     xs = gen.uniform(1e-9, 6.0, 10_000)
     eps = gen.uniform(1e-9, 2.0, 10_000)
     for x, e in zip(xs, eps):
-        lo, q, hi = theory.q_bounds(float(x), float(e))
+        lo, q, hi = q_bounds(float(x), float(e))
         assert lo <= q <= hi
 
 
@@ -149,30 +158,17 @@ def test_q_bounds_sandwich_grid():
     st.floats(min_value=1e-6, max_value=2.0),
 )
 def test_q_bounds_sandwich_property(x, eps):
-    lo, q, hi = theory.q_bounds(x, eps)
+    lo, q, hi = q_bounds(x, eps)
     assert lo <= q <= hi
 
 
 def test_q_bounds_domain():
-    with pytest.raises(DomainError):
-        theory.q_bounds(0.0, 0.1)
-    with pytest.raises(DomainError):
-        theory.q_upper(-1.0)
-    with pytest.raises(DomainError):
-        theory.q_lower(1.0, 0.0)
+    for eps in (0.0, -0.5):
+        with pytest.raises(DomainError):
+            theory.q_lower_constant(eps)
 
 
-# --- Gallager pairwise bound ---
-
-def test_gallager_values():
-    assert theory.gallager_pairwise_bound(0.0, 1.0, 5, 1.0, rho=1.0) == 4.0
-    val = theory.gallager_pairwise_bound(8.0, 0.3, 2, 1.0, rho=1.0)
-    assert abs(val - math.exp(-1)) < 1e-15
-    with pytest.raises(DomainError):
-        theory.gallager_pairwise_bound(1.0, 1.0, 2, 1.0, rho=1.5)
-    with pytest.raises(DomainError):
-        theory.gallager_pairwise_bound(1.0, 1.0, 2, 0.0)
-
+# --- pairwise union bound ---
 
 def test_gallager_union_dominates_conditional_error():
     # Fix one ensemble; the union of pairwise bounds must dominate the
@@ -181,18 +177,11 @@ def test_gallager_union_dominates_conditional_error():
     p = ModelParams.from_snr(m=8, t=16, snr=4.0)
     signals = model.draw_signals(p, RngStream(41, 0))
     gram = model.gram_matrix(signals)
-    wf = detectors.whiten(frame, gram)
+    wf = detectors.whiten_from_cholesky(frame, np.linalg.cholesky(gram))
     h = wf.columns
-    union = sum(
-        theory.gallager_pairwise_bound(
-            float(np.sum((h[:, j] - h[:, 0]) ** 2)),
-            float(wf.col_sqnorm[j]),
-            2,
-            p.sigma**2,
-            rho=1.0,
-        )
-        for j in range(1, 8)
-    )
+    # The rho = 1 union over competitors: sum_j exp(-d_j^2 / (8 sigma^2)).
+    union = sum(math.exp(-float(np.sum((h[:, j] - h[:, 0]) ** 2)) / (8 * p.sigma**2))
+                for j in range(1, 8))
     trials = 10_000
     errs = 0
     for k in range(trials):
@@ -215,8 +204,8 @@ def test_gamma_half_ratio_against_lgamma():
 
 def test_gamma_half_ratio_gautschi_sandwich():
     for k in range(2, 200):
-        lo, hi = theory.gautschi_ratio_bounds(k)
-        assert lo <= theory.gamma_half_ratio(k) <= hi
+        # Gautschi's inequality: sqrt(2/k) <= Gamma(k/2) / Gamma((k+1)/2) <= sqrt(2/(k-1)).
+        assert math.sqrt(2 / k) <= theory.gamma_half_ratio(k) <= math.sqrt(2 / (k - 1))
 
 
 # --- finite-M bounds ---
@@ -284,11 +273,10 @@ def test_finite_bounds_domain_errors():
 
 def test_bound_point_orders_pairs():
     for snr in (0.5, 2.0, 8.0):
-        bp = theory.bound_point(16, 5, 32, 0.6, snr)
         for upper, lower in (
-            (bp.upper_ml, bp.lower_ml),
-            (bp.upper_mrdd, bp.lower_mrdd),
-            (bp.upper_mf, bp.lower_mf),
+            theory.finite_bounds_ml(16, 5, 32, 0.6, snr),
+            theory.finite_bounds_mrdd(16, 5, 32, 0.6, snr),
+            theory.finite_bounds_mf(16, 32, snr),
         ):
             if upper <= 1:
                 assert lower <= upper
@@ -310,3 +298,36 @@ def test_bound_exponent_converges_to_ml_exponent():
         gaps.append(theory.exponent_ml(beta, 1.0, snr) - e)
     assert gaps[-1] < 0.015
     assert all(g > 0 for g in gaps)
+
+
+def test_log_finite_bounds_ml_match_and_survive_underflow():
+    for m, n, t, mu, snr in ((8, 7, 16, 1 / 7, 2.0), (16, 5, 32, 0.6, 0.5), (64, 63, 128, 1 / 63, 4.0)):
+        upper, lower = theory.finite_bounds_ml(m, n, t, mu, snr)
+        log_upper, log_lower = theory.log_finite_bounds_ml(m, n, t, mu, snr)
+        assert abs(log_upper - math.log(upper)) < 1e-12 * max(1.0, abs(log_upper))
+        assert abs(log_lower - math.log(lower)) < 1e-12 * max(1.0, abs(log_lower))
+    # At M = 2048, T = 2M, SNR = 2 both power-form bounds underflow to 0.0.
+    assert theory.finite_bounds_ml(2048, 2047, 4096, 1 / 2047, 2.0) == (0.0, 0.0)
+    log_upper, log_lower = theory.log_finite_bounds_ml(2048, 2047, 4096, 1 / 2047, 2.0)
+    assert math.isfinite(log_upper) and math.isfinite(log_lower) and log_lower < log_upper < -700
+
+
+def test_bound_convergence_script_reaches_m_4096(tmp_path):
+    # The script's exponent window must stay finite past the M where the
+    # probability bounds underflow, and bracket the ML exponent on every row.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "bc.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "bound_convergence.py"), "--m-max", "4096",
+         "--trials", "2000", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["m"]) for r in rows] == [2**k for k in range(3, 13)]
+    for r in rows:
+        lo, hi = float(r["exp_from_upper"]), float(r["exp_from_lower"])
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert lo <= theory.exponent_ml(2.0, 1.0, 2.0) <= hi
