@@ -206,7 +206,7 @@ def cmd_frame(args) -> int:
     report_cols = ("m", "n", "alpha", "kappa", "coherence", "coherence_bound",
                    "row_orthonormality_error")
     report = [frame.m, frame.n, frame.alpha, frame.kappa, frame.mu,
-              frames.coherence_bound(m, n), frames.row_orthonormality_error(frame)]
+              frames.coherence_bound(m, n), frame.ortho_error]
     sys.stdout.write(",".join(report_cols) + "\n")
     sys.stdout.write(",".join(_fmt(v) for v in report) + "\n")
     if args.out is not None:
@@ -306,7 +306,7 @@ def _check_frame_geometry(sizes) -> tuple:
                 continue
             frame = frames.build_group_hadamard(ctx, n)
             worst_excess = max(worst_excess, frame.mu - frames.coherence_bound(m, n))
-            worst_ortho = max(worst_ortho, frames.row_orthonormality_error(frame))
+            worst_ortho = max(worst_ortho, frame.ortho_error)
     exact = frames.build_group_hadamard(gf2m.FieldCtx.standard(3), 7)
     exact_err = abs(exact.mu - 1 / 7)
     ok = worst_excess <= 1e-12 and worst_ortho <= 1e-10 and exact_err <= 1e-12

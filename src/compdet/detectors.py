@@ -125,9 +125,9 @@ def detect_ml_full_group(v: np.ndarray, gram: np.ndarray) -> int | np.ndarray:
 
 def detect_mrdd(frame: Frame, u: np.ndarray) -> int | np.ndarray:
     """Linear detector: largest signed correlation a_k^T u."""
-    return _verdicts(_matvec(frame.entries.T, u))
+    return _verdicts(frame.adjoint(u))
 
 
 def detect_rdd(frame: Frame, u: np.ndarray) -> int | np.ndarray:
     """Original reduced-dimensionality rule: largest |a_k^T u|."""
-    return _verdicts(np.abs(_matvec(frame.entries.T, u)))
+    return _verdicts(np.abs(frame.adjoint(u)))

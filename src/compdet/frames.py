@@ -8,12 +8,20 @@ Columns then have unit norm and the rows are orthogonal with A A^T = (M/N) I.
 Tr is GF(2)-linear, so row i is the Walsh row (-1)^parity(w_i & x) of one
 trace mask w_i (gf2m.trace_masks), and the Gram depends only on j XOR k: the
 coherence is read exactly from the integer column sums of the signs.
+
+So A^T u is the Walsh-Hadamard transform of u scattered onto the masks, and
+A x is the transform of x read back at the masks.  Both use the Kronecker
+factorisation of the Sylvester matrix, H_{2^r} = H_{2^r1} (x) H_{2^r2}
+(Fino & Algazi, 1976): with z reshaped to 2^r1 x 2^r2, H z is H1 Z H2, which
+costs 2M(2^r1 + 2^r2) flops instead of the 2NM of a dense product.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,19 +32,79 @@ COLUMN_NORM_TOL = 1e-12
 ROW_ORTHO_TOL = 1e-10
 
 
+# Field orders up to 2^ONE_FACTOR_MAX_R apply H as one M x M product (r1 = 0);
+# above it the split is r1 = r // 2.  Timings behind the choice: CHANGES.md.
+ONE_FACTOR_MAX_R = 4
+
+
+@lru_cache(maxsize=None)
+def _sylvester(r: int) -> np.ndarray:
+    """The 2^r x 2^r Sylvester Hadamard matrix, H[x, w] = (-1)^popcount(x & w)."""
+    x = np.arange(1 << r)
+    h = 1.0 - 2.0 * (np.bitwise_count(x[:, None] & x) & 1)
+    h.setflags(write=False)
+    return h
+
+
+@lru_cache(maxsize=None)
+def _walsh_factors(m: int, n: int) -> tuple:
+    """(H1 or None, H2 / sqrt(N)) with H1 (x) H2 = H_M; H1 is None when r1 = 0."""
+    r = m.bit_length() - 1
+    r1 = 0 if r <= ONE_FACTOR_MAX_R else r // 2
+    h2 = _sylvester(r - r1) / math.sqrt(n)
+    h2.setflags(write=False)
+    return (_sylvester(r1) if r1 else None), h2
+
+
+def _walsh(z: np.ndarray, m: int, n: int) -> np.ndarray:
+    """H_M z / sqrt(N) over the last axis of z, as H1 Z H2 per vector.
+
+    A stack of vectors goes through the same matrix products per vector as a
+    lone vector does (broadcast, never merged), so each result is
+    bit-identical to the one-vector call.
+    """
+    h1, h2 = _walsh_factors(m, n)
+    z = z.reshape(z.shape[:-1] + (m // len(h2), len(h2)))
+    if h1 is not None:
+        z = h1 @ z
+    return (z @ h2).reshape(z.shape[:-2] + (m,))
+
+
 @dataclass(frozen=True)
 class Frame:
-    """A column-normalized N x M sensing matrix with cached coherence."""
+    """A column-normalized N x M group frame, its row masks and cached geometry.
+
+    Row i is the Walsh row (-1)^parity(masks[i] & x) / sqrt(N).  entries
+    holds the same matrix densely; adjoint and apply use the masks.
+    ortho_error is the build's max-norm deviation of A A^T from (M/N) I.
+    """
 
     m: int
     n: int
     entries: np.ndarray
     mu: float
     kappa: int
+    masks: np.ndarray
+    ortho_error: float
 
     @property
     def alpha(self) -> float:
         return self.n / self.m
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        """A^T u, the M column correlations, for one u or a stack (..., N)."""
+        z = np.zeros(u.shape[:-1] + (self.m,))
+        # One vector skips the ellipsis, which costs ~0.7 us a call at small M.
+        if u.ndim == 1:
+            z[self.masks] = u
+        else:
+            z[..., self.masks] = u
+        return _walsh(z, self.m, self.n)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for one x or a stack (..., M)."""
+        hx = _walsh(x, self.m, self.n)
+        return hx[self.masks] if x.ndim == 1 else hx[..., self.masks]
 
 
 def _coherence_of(entries: np.ndarray) -> float:
@@ -58,31 +126,33 @@ def build_group_hadamard(ctx: gf2m.FieldCtx, n: int) -> Frame:
     if n < 1 or (m - 1) % n != 0:
         raise NotADivisor(f"row count {n} does not divide M-1 = {m - 1}")
 
-    x = np.arange(m)
-    entries = np.empty((n, m))
-    col_sums = np.zeros(m, dtype=np.int64)
-    for i, w in enumerate(gf2m.trace_masks(ctx, gf2m.subgroup(ctx, n))):
-        signs = 1 - 2 * (np.bitwise_count(w & x) & 1).astype(np.int64)
-        col_sums += signs
-        entries[i] = signs / math.sqrt(n)
+    masks = np.array(gf2m.trace_masks(ctx, gf2m.subgroup(ctx, n)), dtype=np.intp)
+    masks.setflags(write=False)
+    # Narrow dtypes keep the N x M temporaries at 2 bytes and 1 byte an entry.
+    x = np.arange(m, dtype=np.min_scalar_type(m - 1))
+    signs = 1 - 2 * (np.bitwise_count(masks.astype(x.dtype)[:, None] & x) & 1).astype(np.int8)
+    entries = signs / math.sqrt(n)
     entries.setflags(write=False)
 
-    # Column 0 is all ones, so N * g_0k = col_sums[k] covers every g_jk = g_0(j^k).
-    mu = int(np.abs(col_sums[1:]).max()) / n
-    frame = Frame(m=m, n=n, entries=entries, mu=mu, kappa=(m - 1) // n)
+    # Column 0 is all ones, so N * g_0k, the sign sum of column k, covers
+    # every g_jk = g_0(j^k).
+    mu = int(np.abs(signs[:, 1:].sum(axis=0, dtype=np.int64)).max()) / n
     col_norm_err = np.abs(np.linalg.norm(entries, axis=0) - 1.0).max()
     if col_norm_err > COLUMN_NORM_TOL:
         raise DomainError(f"column norms deviate from 1 by {col_norm_err:g}")
-    if row_orthonormality_error(frame) > ROW_ORTHO_TOL:
+    frame = Frame(m=m, n=n, entries=entries, mu=mu, kappa=(m - 1) // n, masks=masks,
+                  ortho_error=math.nan)
+    ortho_error = row_orthonormality_error(frame)
+    if ortho_error > ROW_ORTHO_TOL:
         raise DomainError("row orthonormality A A^T = (M/N) I failed")
-    return frame
+    return dataclasses.replace(frame, ortho_error=ortho_error)
 
 
 def row_orthonormality_error(frame: Frame) -> float:
     """Max-norm deviation of A A^T from (M/N) I."""
     aat = frame.entries @ frame.entries.T
     aat[np.diag_indices(frame.n)] -= frame.m / frame.n
-    return float(np.abs(aat).max())
+    return float(np.abs(aat, out=aat).max())
 
 
 def coherence_bound(m: int, n: int) -> float:

@@ -216,7 +216,7 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
             failed = _failures(lambda c: whiten_from_cholesky(frame, c), chol_g, SingularCovariance)
             return truth, {}, failed
     if whitened or "mrdd" in dets or "rdd" in dets:
-        u = (frame.entries @ cho_solve(chol_g, v)[:, :, None])[:, :, 0]
+        u = frame.apply(cho_solve(chol_g, v))
         if whitened:
             verdicts["ml"] = detect_ml_whitened(wf, u)
         if "mrdd" in dets:

@@ -118,7 +118,7 @@ def biorthogonal_ensemble(signals: np.ndarray) -> np.ndarray:
 def approx_statistic(frame: Frame, gram: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Compressed statistic u = A G^{-1} v (a Cholesky solve, no inverse)."""
     chol = gram_cholesky(gram)
-    return frame.entries @ cho_solve((chol, True), v)
+    return frame.apply(cho_solve((chol, True), v))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,24 @@ import numpy as np
 from compdet import frames
 
 
-def frame_from_entries(entries) -> frames.Frame:
-    """Wrap an N x M column set as a Frame, with mu from the dense Gram."""
+class DenseFrame(frames.Frame):
+    """A Frame over any N x M column set, applied as dense products with its entries.
+
+    It has no Walsh masks; it also serves as the dense oracle of the group
+    frames' adjoint and apply.
+    """
+
+    def adjoint(self, u):
+        return self.entries.T @ u if u.ndim == 1 else (self.entries.T @ u[..., None])[..., 0]
+
+    def apply(self, x):
+        return self.entries @ x if x.ndim == 1 else (self.entries @ x[..., None])[..., 0]
+
+
+def frame_from_entries(entries) -> DenseFrame:
+    """Wrap an N x M column set as a DenseFrame, with mu from the dense Gram."""
     entries = np.asarray(entries, dtype=float)
     n, m = entries.shape
     kappa = (m - 1) // n if n and (m - 1) % n == 0 else 0
-    return frames.Frame(m=m, n=n, entries=entries, mu=frames._coherence_of(entries), kappa=kappa)
+    return DenseFrame(m=m, n=n, entries=entries, mu=frames._coherence_of(entries), kappa=kappa,
+                      masks=None, ortho_error=np.nan)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from compdet import frames, gf2m
+from compdet import detectors, frames, gf2m
 from compdet.errors import DomainError, NotADivisor
 from frame_fixtures import frame_from_entries
 
@@ -163,3 +163,101 @@ def test_deterministic_construction():
 def test_small_field_rejected():
     with pytest.raises(DomainError):
         frames.build_group_hadamard(gf2m.FieldCtx.standard(1), 1)
+
+
+# --- A^T u and A x as a Walsh-Hadamard operator ---
+
+
+def dense_twin(frame):
+    """The same frame applied by dense products with its entries: the oracle."""
+    return frame_from_entries(frame.entries)
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
+def test_operator_matches_dense_products(m):
+    rng = np.random.default_rng(m)
+    for n in all_divisors(m):
+        frame = build(m, n)
+        dense = dense_twin(frame)
+        u, x = rng.standard_normal((7, n)), rng.standard_normal((7, m))
+        at_u, a_x = frame.adjoint(u), frame.apply(x)
+        np.testing.assert_allclose(at_u, dense.adjoint(u), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a_x, dense.apply(x), rtol=0, atol=1e-12)
+        # A stack goes through the same products per vector as a lone vector.
+        for i in range(len(u)):
+            np.testing.assert_array_equal(frame.adjoint(u[i]), at_u[i])
+            np.testing.assert_array_equal(frame.apply(x[i]), a_x[i])
+
+
+def assert_same_verdicts(frame, dense, us):
+    """Equal verdicts wherever the dense maximum is unique; a dense maximizer otherwise.
+
+    At u = -a_k the top correlations tie exactly (the Gram takes kappa + 1
+    values), so which tied index wins depends on rounding in either form.
+    """
+    for detect in (detectors.detect_mrdd, detectors.detect_rdd):
+        got, want = detect(frame, us), detect(dense, us)
+        scores = dense.adjoint(us)
+        if detect is detectors.detect_rdd:
+            scores = np.abs(scores)
+        top2 = np.sort(scores, axis=1)[:, -2:]
+        unique = top2[:, 1] - top2[:, 0] > 1e-12
+        np.testing.assert_array_equal(got[unique], want[unique])
+        picked = scores[np.arange(len(us)), got - 1]
+        np.testing.assert_allclose(picked, scores.max(axis=1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
+def test_operator_verdicts_match_dense(m):
+    rng = np.random.default_rng(m + 1)
+    for n in all_divisors(m):
+        frame = build(m, n)
+        dense = dense_twin(frame)
+        columns = np.ascontiguousarray(frame.entries.T)
+        for us in (columns, -columns):
+            assert_same_verdicts(frame, dense, us)
+        if frame.mu < 1:  # distinct columns: a_k's own correlation is the unique maximum
+            np.testing.assert_array_equal(detectors.detect_mrdd(frame, columns), np.arange(1, m + 1))
+        u = rng.standard_normal((1000, n))
+        for detect in (detectors.detect_mrdd, detectors.detect_rdd):
+            np.testing.assert_array_equal(detect(frame, u), detect(dense, u))
+
+
+def walsh_signs(w):
+    """(-1)^popcount(w) elementwise, as floats."""
+    return 1.0 - 2.0 * (np.bitwise_count(w) & 1)
+
+
+def full_group_operator(r):
+    """The N = M - 1 frame at field order 2^r as an operator: masks only, no entries."""
+    ctx = gf2m.FieldCtx.standard(r)
+    elems = gf2m.subgroup(ctx, ctx.order - 1)
+    masks = np.array(gf2m.trace_masks(ctx, elems), dtype=np.intp)
+    frame = frames.Frame(m=ctx.order, n=ctx.order - 1, entries=None, mu=math.nan, kappa=1,
+                         masks=masks, ortho_error=math.nan)
+    return ctx, elems, frame
+
+
+@pytest.mark.parametrize("r", [12, 14, 16])
+def test_operator_at_large_m_against_mask_rows_and_columns(r):
+    ctx, elems, frame = full_group_operator(r)
+    m, n, masks = frame.m, frame.n, frame.masks
+    rng = np.random.default_rng(r)
+    u, x = rng.standard_normal(n), rng.standard_normal(m)
+    at_u, a_x = frame.adjoint(u), frame.apply(x)
+    for col in rng.choice(m, size=32, replace=False):
+        column = walsh_signs(masks & col) / math.sqrt(n)
+        assert abs(at_u[col] - column @ u) <= 1e-11
+    for row in rng.choice(n, size=32, replace=False):
+        entries_row = walsh_signs(masks[row] & np.arange(m)) / math.sqrt(n)
+        assert abs(a_x[row] - entries_row @ x) <= 1e-11
+        # The mask is row a's character: parity(w_a & x) = Tr(a x).
+        for col in rng.choice(m, size=4, replace=False).tolist():
+            assert (int(masks[row]) & col).bit_count() % 2 == gf2m.trace(ctx, gf2m.mul(ctx, elems[row], col))
+
+
+def test_build_stores_its_row_orthonormality_error():
+    for m, n in ((8, 7), (64, 21), (256, 255)):
+        frame = build(m, n)
+        assert frame.ortho_error == frames.row_orthonormality_error(frame)
+        assert 0 <= frame.ortho_error <= frames.ROW_ORTHO_TOL
