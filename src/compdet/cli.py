@@ -1,7 +1,7 @@
 """Command-line interface: frame construction, simulation, sweeps, validation.
 
 Exit codes: 0 success, 1 numerical or validation failure, 2 configuration
-error, 3 constructibility error (non power-of-two M, N not dividing M-1).
+error, 3 constructibility error (M not a power of two in 4..2^20, N not dividing M-1).
 
 All randomized output is a pure function of (config, seed); CSV files are
 byte-identical across runs and thread counts.
@@ -193,10 +193,8 @@ def _summarize(result: harness.ExperimentResult, stream=None):
 
 def cmd_frame(args) -> int:
     m, n = args.m, args.n
-    if m is None or n is None:
-        raise ConfigError("frame requires --m and --n")
-    if m < 4 or m & (m - 1):
-        print(f"error: M must be a power of two >= 4, got {m}", file=sys.stderr)
+    if m < 4 or m & (m - 1) or m > 1 << gf2m.MAX_DEGREE:
+        print(f"error: M must be a power of two in 4..2^{gf2m.MAX_DEGREE}, got {m}", file=sys.stderr)
         return EXIT_CONSTRUCT
     if n < 1 or (m - 1) % n != 0:
         print(f"error: N must divide M-1, got N={n}, M-1={m - 1}", file=sys.stderr)
@@ -206,7 +204,7 @@ def cmd_frame(args) -> int:
     report_cols = ("m", "n", "alpha", "kappa", "coherence", "coherence_bound",
                    "row_orthonormality_error")
     report = [frame.m, frame.n, frame.alpha, frame.kappa, frame.mu,
-              frames.coherence_bound(m, n), frame.ortho_error]
+              frames.coherence_bound(m, n), frames.row_orthonormality_error(frame)]
     sys.stdout.write(",".join(report_cols) + "\n")
     sys.stdout.write(",".join(_fmt(v) for v in report) + "\n")
     if args.out is not None:
@@ -306,7 +304,7 @@ def _check_frame_geometry(sizes) -> tuple:
                 continue
             frame = frames.build_group_hadamard(ctx, n)
             worst_excess = max(worst_excess, frame.mu - frames.coherence_bound(m, n))
-            worst_ortho = max(worst_ortho, frame.ortho_error)
+            worst_ortho = max(worst_ortho, frames.row_orthonormality_error(frame))
     exact = frames.build_group_hadamard(gf2m.FieldCtx.standard(3), 7)
     exact_err = abs(exact.mu - 1 / 7)
     ok = worst_excess <= 1e-12 and worst_ortho <= 1e-10 and exact_err <= 1e-12

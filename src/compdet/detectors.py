@@ -10,10 +10,12 @@ on the same operands as it would alone (matrix-vector products are
 broadcast, never merged into one matrix product), so its scores and verdict
 are bit-identical to the one-trial call.
 
-Hypothesis indices returned by every detector are 1-based.  All ties break
-toward the lowest index (argmax/argmin return the first maximizer); ties
-have probability zero under continuous noise, so this only pins down test
-behavior.
+Hypothesis indices returned by every detector are 1-based.  argmax takes
+the first maximizer of the computed scores, so a tie in the computed scores
+breaks toward the lowest index.  A tie that is exact only in real arithmetic
+(at u = -a_k the largest correlations tie) is decided by rounding, and the
+dense and Walsh forms of A^T u may pick different tied indices.  Ties have
+probability zero under continuous noise.
 """
 
 from __future__ import annotations

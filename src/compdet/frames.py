@@ -18,9 +18,8 @@ costs 2M(2^r1 + 2^r2) flops instead of the 2NM of a dense product.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from . import gf2m
 from .errors import DomainError, NotADivisor
 
-COLUMN_NORM_TOL = 1e-12
 ROW_ORTHO_TOL = 1e-10
 
 
@@ -70,22 +68,37 @@ def _walsh(z: np.ndarray, m: int, n: int) -> np.ndarray:
     return (z @ h2).reshape(z.shape[:-2] + (m,))
 
 
+class _DenseView:
+    """Frame.entries: kept as given, or built from the masks on first read and kept."""
+
+    def __get__(self, frame, owner=None):
+        if frame is not None and frame.__dict__["entries"] is None:
+            # Narrow dtypes keep the N x M temporaries at 2 bytes and 1 byte an entry.
+            x = np.arange(frame.m, dtype=np.min_scalar_type(frame.m - 1))
+            signs = 1 - 2 * (np.bitwise_count(frame.masks.astype(x.dtype)[:, None] & x) & 1).astype(np.int8)
+            entries = signs / math.sqrt(frame.n)
+            entries.setflags(write=False)
+            frame.__dict__["entries"] = entries
+        return self if frame is None else frame.__dict__["entries"]
+
+    def __set__(self, frame, entries):
+        frame.__dict__["entries"] = None if entries is self else entries  # self: the field default
+
+
 @dataclass(frozen=True)
 class Frame:
-    """A column-normalized N x M group frame, its row masks and cached geometry.
+    """A column-normalized N x M group frame, stored as its N row masks.
 
-    Row i is the Walsh row (-1)^parity(masks[i] & x) / sqrt(N).  entries
-    holds the same matrix densely; adjoint and apply use the masks.
-    ortho_error is the build's max-norm deviation of A A^T from (M/N) I.
+    Row i is the Walsh row (-1)^parity(masks[i] & x) / sqrt(N); adjoint and
+    apply use the masks, and entries is that matrix, built densely on first read.
     """
 
     m: int
     n: int
-    entries: np.ndarray
     mu: float
     kappa: int
     masks: np.ndarray
-    ortho_error: float
+    entries: np.ndarray = field(default=_DenseView(), repr=False)
 
     @property
     def alpha(self) -> float:
@@ -128,31 +141,18 @@ def build_group_hadamard(ctx: gf2m.FieldCtx, n: int) -> Frame:
 
     masks = np.array(gf2m.trace_masks(ctx, gf2m.subgroup(ctx, n)), dtype=np.intp)
     masks.setflags(write=False)
-    # Narrow dtypes keep the N x M temporaries at 2 bytes and 1 byte an entry.
-    x = np.arange(m, dtype=np.min_scalar_type(m - 1))
-    signs = 1 - 2 * (np.bitwise_count(masks.astype(x.dtype)[:, None] & x) & 1).astype(np.int8)
-    entries = signs / math.sqrt(n)
-    entries.setflags(write=False)
-
-    # Column 0 is all ones, so N * g_0k, the sign sum of column k, covers
-    # every g_jk = g_0(j^k).
-    mu = int(np.abs(signs[:, 1:].sum(axis=0, dtype=np.int64)).max()) / n
-    col_norm_err = np.abs(np.linalg.norm(entries, axis=0) - 1.0).max()
-    if col_norm_err > COLUMN_NORM_TOL:
-        raise DomainError(f"column norms deviate from 1 by {col_norm_err:g}")
-    frame = Frame(m=m, n=n, entries=entries, mu=mu, kappa=(m - 1) // n, masks=masks,
-                  ortho_error=math.nan)
-    ortho_error = row_orthonormality_error(frame)
-    if ortho_error > ROW_ORTHO_TOL:
+    # H_M of the mask counts is each column's integer sign sum, exact in floats.
+    # Column 0 is all ones, so N * g_0k, the sum of column k, covers every g_jk = g_0(j^k).
+    mu = int(np.abs(_walsh(np.bincount(masks, minlength=m).astype(float), m, 1)[1:]).max()) / n
+    frame = Frame(m=m, n=n, mu=mu, kappa=(m - 1) // n, masks=masks)
+    if row_orthonormality_error(frame) > ROW_ORTHO_TOL:
         raise DomainError("row orthonormality A A^T = (M/N) I failed")
-    return dataclasses.replace(frame, ortho_error=ortho_error)
+    return frame
 
 
 def row_orthonormality_error(frame: Frame) -> float:
-    """Max-norm deviation of A A^T from (M/N) I."""
-    aat = frame.entries @ frame.entries.T
-    aat[np.diag_indices(frame.n)] -= frame.m / frame.n
-    return float(np.abs(aat, out=aat).max())
+    """Max-norm deviation of A A^T from (M/N) I, from (A A^T)_ab = (M/N) [w_a = w_b]."""
+    return 0.0 if len(np.unique(frame.masks)) == frame.n else frame.m / frame.n
 
 
 def coherence_bound(m: int, n: int) -> float:

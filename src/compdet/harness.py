@@ -89,8 +89,8 @@ class ExperimentSpec:
         if needs_frame and self.n is None:
             raise ConfigError("compressed detectors (ml/mrdd/rdd) require n")
         if self.n is not None:
-            if self.m < 4 or self.m & (self.m - 1):
-                raise ConfigError(f"m must be a power of two >= 4 when n is set, got {self.m}")
+            if self.m < 4 or self.m & (self.m - 1) or self.m > 1 << gf2m.MAX_DEGREE:
+                raise ConfigError(f"m must be a power of two in 4..2^{gf2m.MAX_DEGREE} when n is set, got {self.m}")
             if (self.m - 1) % self.n != 0:
                 raise ConfigError(f"n must divide m-1, got n={self.n}, m-1={self.m - 1}")
             if self.n < 2:

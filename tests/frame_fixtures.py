@@ -24,5 +24,5 @@ def frame_from_entries(entries) -> DenseFrame:
     entries = np.asarray(entries, dtype=float)
     n, m = entries.shape
     kappa = (m - 1) // n if n and (m - 1) % n == 0 else 0
-    return DenseFrame(m=m, n=n, entries=entries, mu=frames._coherence_of(entries), kappa=kappa,
-                      masks=None, ortho_error=np.nan)
+    return DenseFrame(m=m, n=n, mu=frames._coherence_of(entries), kappa=kappa, masks=None,
+                      entries=entries)

@@ -3,8 +3,13 @@
 import dataclasses
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
-from compdet import cli, harness, stats
+from compdet import cli, gf2m, harness, stats
 
 GOLDEN_HEADER = (
     "m,n,t,alpha,beta,snr,detector,trials,errors,p_hat,ci_lo,ci_hi,"
@@ -43,6 +48,31 @@ def test_frame_rejects_non_divisor(capsys):
     assert run_cli(["frame", "--m", "16", "--n", "6"]) == 3
     assert "divide" in capsys.readouterr().err
     assert run_cli(["frame", "--m", "8", "--n", "0"]) == 3
+
+
+def test_frame_rejects_field_order_above_max_degree(capsys):
+    m = 2 << gf2m.MAX_DEGREE
+    assert run_cli(["frame", "--m", str(m), "--n", str(m - 1)]) == cli.EXIT_CONSTRUCT
+    assert "power of two" in capsys.readouterr().err
+
+
+def _cap_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_frame_at_m_65536_forms_no_dense_matrix():
+    # The dense matrix would take 34 GB; under the 2 GiB cap a dense build
+    # fails with MemoryError instead of exhausting the machine.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "compdet.cli", "frame", "--m", "65536", "--n", "65535"],
+                          capture_output=True, text=True, timeout=120, env=env,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    report = dict(zip(*(line.split(",") for line in proc.stdout.splitlines())))
+    assert float(report["coherence"]) == float(report["coherence_bound"]) == 1 / 65535
+    assert float(report["row_orthonormality_error"]) == 0.0
 
 
 # --- simulate subcommand ---
@@ -97,6 +127,14 @@ def test_simulate_rejects_zero_trials(capsys):
 
 def test_simulate_rejects_missing_required(capsys):
     assert run_cli(["simulate", "--m", "8"]) == 2
+
+
+def test_simulate_rejects_field_order_above_max_degree(capsys):
+    m = str(2 << gf2m.MAX_DEGREE)
+    args = ["simulate", "--m", m, "--t", m, "--n", "7", "--snr", "1", "--trials", "1",
+            "--detectors", "ml"]
+    assert run_cli(args) == cli.EXIT_CONFIG
+    assert "power of two" in capsys.readouterr().err
 
 
 def test_simulate_full_precision_floats(tmp_path):

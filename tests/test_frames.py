@@ -1,6 +1,8 @@
 """Sensing-frame construction and geometry tests."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -72,13 +74,27 @@ def test_coherence_bound_rejections():
         build(16, 6)
 
 
-@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def dense_pair_scan(entries):
+    gram = entries.T @ entries
+    return float(np.abs(gram - np.diag(np.diag(gram))).max())
+
+
+def dense_row_orthonormality_error(entries):
+    """max |A A^T - (M/N) I| from the dense matrix: the oracle of the mask check."""
+    n, m = entries.shape
+    return float(np.abs(entries @ entries.T - m / n * np.eye(n)).max())
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
 def test_all_constructible_frames(m):
+    # The lazily built entries against the dense checks the build once made.
     for n in all_divisors(m):
         frame = build(m, n)
         assert frame.mu <= frames.coherence_bound(m, n) + 1e-12
-        assert frames.row_orthonormality_error(frame) <= 1e-10
-        np.testing.assert_allclose(np.linalg.norm(frame.entries, axis=0), 1.0, atol=1e-12)
+        assert frames.row_orthonormality_error(frame) == 0.0
+        assert dense_row_orthonormality_error(frame.entries) <= 1e-10
+        np.testing.assert_allclose(np.linalg.norm(frame.entries, axis=0), 1.0, rtol=0, atol=1e-12)
+        assert abs(frame.mu - dense_pair_scan(frame.entries)) <= 1e-14
 
 
 def oracle_entries(m, n):
@@ -90,11 +106,6 @@ def oracle_entries(m, n):
         for x in range(m):
             signs[i, x] = -1.0 if tr[gf2m.mul(ctx, a, x)] else 1.0
     return signs / math.sqrt(n)
-
-
-def dense_pair_scan(entries):
-    gram = entries.T @ entries
-    return float(np.abs(gram - np.diag(np.diag(gram))).max())
 
 
 @pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256])
@@ -233,8 +244,7 @@ def full_group_operator(r):
     ctx = gf2m.FieldCtx.standard(r)
     elems = gf2m.subgroup(ctx, ctx.order - 1)
     masks = np.array(gf2m.trace_masks(ctx, elems), dtype=np.intp)
-    frame = frames.Frame(m=ctx.order, n=ctx.order - 1, entries=None, mu=math.nan, kappa=1,
-                         masks=masks, ortho_error=math.nan)
+    frame = frames.Frame(m=ctx.order, n=ctx.order - 1, mu=math.nan, kappa=1, masks=masks)
     return ctx, elems, frame
 
 
@@ -256,8 +266,38 @@ def test_operator_at_large_m_against_mask_rows_and_columns(r):
             assert (int(masks[row]) & col).bit_count() % 2 == gf2m.trace(ctx, gf2m.mul(ctx, elems[row], col))
 
 
-def test_build_stores_its_row_orthonormality_error():
-    for m, n in ((8, 7), (64, 21), (256, 255)):
-        frame = build(m, n)
-        assert frame.ortho_error == frames.row_orthonormality_error(frame)
-        assert 0 <= frame.ortho_error <= frames.ROW_ORTHO_TOL
+def test_row_orthonormality_error_flags_a_repeated_mask(monkeypatch):
+    frame = build(64, 21)
+    masks = np.array(frame.masks)
+    masks[1] = masks[0]
+    twin = frames.Frame(m=64, n=21, mu=frame.mu, kappa=frame.kappa, masks=masks)
+    assert frames.row_orthonormality_error(frame) == 0.0
+    assert frames.row_orthonormality_error(twin) == 64 / 21
+    assert dense_row_orthonormality_error(twin.entries) == pytest.approx(64 / 21, abs=1e-12)
+    # The build refuses such a frame.
+    trace_masks = gf2m.trace_masks
+    monkeypatch.setattr(gf2m, "trace_masks", lambda ctx, elems: [trace_masks(ctx, elems)[0]] * len(elems))
+    with pytest.raises(DomainError, match="orthonormality"):
+        build(64, 21)
+
+
+def test_dense_entries_are_built_on_first_read_only():
+    frame = build(1024, 341)
+    assert "masks=" in repr(frame)
+    assert frame.__dict__["entries"] is None
+    entries = frame.entries
+    assert frame.entries is entries and not entries.flags.writeable
+
+
+def test_concurrent_first_reads_build_equal_entries():
+    # Threads that race on the first read may each build the matrix; all must agree.
+    frame = build(1024, 341)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            reads = list(pool.map(lambda _: frame.entries, range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for entries in reads:
+        np.testing.assert_array_equal(entries, frame.entries)
