@@ -20,8 +20,8 @@ from .errors import (
 )
 from .frames import Frame, build_group_hadamard, coherence_bound
 from .gf2m import FieldCtx
-from .harness import ExperimentResult, ExperimentSpec, run, sweep
-from .model import ModelParams, TrialDraw, draw_trial
+from .harness import ExperimentResult, ExperimentSpec, TrialDraw, draw_trial, run, sweep
+from .model import ModelParams
 from .rng import RngStream
 from .theory import TheoryPoint, exponent_mf, exponent_ml, exponent_mrdd
 

@@ -11,9 +11,10 @@ and ML on u is the matched-filter ML score with that direction projected out
 itself is formed only when a rule reads it (mrdd, rdd, whitened ML).
 
 Trials run in blocks (_block_verdicts): each trial draws from its own
-stream into stacked arrays, and every later step runs once over the stack,
-through the same BLAS/LAPACK call per trial as a lone trial would make, so
-the verdicts do not depend on the block size.  Trials are keyed by stream
+stream into stacked arrays (_draw_block), and every later step runs once
+over the stack, through the same BLAS/LAPACK call per trial as a lone trial
+would make, so the verdicts do not depend on the block size.  draw_trial is
+the same draw and statistics for one trial.  Trials are keyed by stream
 id, so the result is a pure function of (spec, seed) and is identical for
 any thread count or execution order.
 """
@@ -34,8 +35,8 @@ from .detectors import (
     detect_mf, detect_mfml, detect_ml_full_group, detect_ml_whitened, detect_mrdd, detect_rdd,
     whiten_from_cholesky,
 )
-from .errors import ConfigError, NumericalFailure, SingularCovariance
-from .model import ModelParams
+from .errors import ConfigError, DomainError, NumericalFailure, SingularCovariance, SingularGram
+from .model import ModelParams, gram_cholesky, gram_matrix
 from .rng import RngStream
 from .stats import clopper_pearson
 
@@ -68,8 +69,10 @@ class ExperimentSpec:
     randomize_truth: bool = False
 
     def __post_init__(self):
-        if isinstance(self.detectors, (list, set)):
-            object.__setattr__(self, "detectors", tuple(self.detectors))
+        if isinstance(self.detectors, (set, frozenset)):
+            raise ConfigError("detectors must be a list or tuple: a set's order, and so the "
+                              "CSV row order, changes from process to process")
+        object.__setattr__(self, "detectors", tuple(self.detectors))
         if self.m < 2:
             raise ConfigError(f"m must be at least 2, got {self.m}")
         if self.t < self.m:
@@ -169,29 +172,41 @@ def _block_size(m: int, t: int) -> int:
     return max(1, min(_CHUNK, _BLOCK_BYTES // (8 * m * t)))
 
 
-def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
-    """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
+def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work):
+    """(signals, truth, y, v) for a block of trials, all at one attempt.
 
-    Each trial draws from its own stream, in the order signals, truth, noise,
-    so a block replays exactly what each trial would draw alone.  work holds
-    the (signals, noise, Gram) buffers, with room for at least len(trials)
-    trials.  failed is None, or, when a Gram or compressed covariance is
-    singular, the mask of the trials that failed (and verdicts is empty).
+    Each trial draws from its own stream RngStream(seed, trial) in the order
+    signals, truth, noise, exactly as it would alone.  With truth None each
+    trial draws its truth, uniform on 1..M; else the given array is used.
+    work holds the (signals, noise) buffers, with room for len(trials) trials.
     """
-    dets = spec.detectors
-    b, m = len(trials), params.m
-    signals, noise, gram = (buf[:b] for buf in work)
-    truth = np.ones(b, dtype=np.int64)
+    b = len(trials)
+    signals, noise = (buf[:b] for buf in work)
+    draws_truth = truth is None
+    truth = np.empty(b, dtype=np.int64) if draws_truth else truth
     for i, trial in enumerate(trials.tolist()):
-        gen = RngStream(spec.seed, trial).generator(attempt)
+        gen = RngStream(seed, trial).generator(attempt)
         gen.standard_normal(out=signals[i])
-        if spec.randomize_truth:
-            truth[i] = gen.integers(1, m + 1)
+        if draws_truth:
+            truth[i] = gen.integers(1, params.m + 1)
         gen.standard_normal(out=noise[i])
     signals *= params.energy
     y = signals[np.arange(b), :, truth - 1] + params.sigma * noise
-    signals_t = np.swapaxes(signals, 1, 2)
-    v = (signals_t @ y[:, :, None])[:, :, 0]
+    v = (np.swapaxes(signals, 1, 2) @ y[:, :, None])[:, :, 0]
+    return signals, truth, y, v
+
+
+def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
+    """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
+
+    The trials are drawn by _draw_block.  work holds the (signals, noise,
+    Gram) buffers, with room for at least len(trials) trials.  failed is
+    None, or, when a Gram or compressed covariance is singular, the mask of
+    the trials that failed (and verdicts is empty).
+    """
+    dets, b = spec.detectors, len(trials)
+    truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
+    signals, truth, _, v = _draw_block(spec.seed, params, trials, attempt, truth, work[:2])
 
     verdicts = {}
     if "mf" in dets:
@@ -201,11 +216,11 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
     if frame is None:
         return truth, verdicts, None
 
-    np.matmul(signals_t, signals, out=gram)
+    gram = gram_matrix(signals, out=work[2][:b])
     try:
-        chol_g = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return truth, {}, _failures(np.linalg.cholesky, gram, np.linalg.LinAlgError)
+        chol_g = gram_cholesky(gram)
+    except SingularGram:
+        return truth, {}, _failures(gram_cholesky, gram, SingularGram)
     whitened = "ml" in dets and frame.kappa != 1
     if "ml" in dets and not whitened:
         verdicts["ml"] = detect_ml_full_group(v, gram)
@@ -224,6 +239,36 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
         if "rdd" in dets:
             verdicts["rdd"] = detect_rdd(frame, u)
     return truth, verdicts, None
+
+
+@dataclass(frozen=True)
+class TrialDraw:
+    """One simulated realization of signals, noise, and statistics."""
+
+    signals: np.ndarray
+    gram: np.ndarray
+    truth: int
+    y: np.ndarray
+    v: np.ndarray
+    u: Optional[np.ndarray] = None
+
+
+def draw_trial(params: ModelParams, stream: RngStream, frame: Optional[frames.Frame] = None,
+               truth: int = 1) -> TrialDraw:
+    """One trial's draws and statistics: trial stream.stream_id of a kernel block at attempt 0.
+
+    Every array is bit-identical to that trial's in a block of any size with the same truth.
+    """
+    if frame is not None and frame.m != params.m:
+        raise DomainError(f"frame has {frame.m} columns but the model has m={params.m}")
+    if not 1 <= truth <= params.m:
+        raise DomainError(f"truth index {truth} outside 1..{params.m}")
+    work = np.empty((1, params.t, params.m)), np.empty((1, params.t))
+    signals, _, y, v = _draw_block(stream.seed, params, np.array([stream.stream_id]), 0,
+                                   np.array([truth]), work)
+    gram = gram_matrix(signals)
+    u = None if frame is None else frame.apply(cho_solve(gram_cholesky(gram), v))[0]
+    return TrialDraw(signals=signals[0], gram=gram[0], truth=truth, y=y[0], v=v[0], u=u)
 
 
 def _trial_counts(spec, params, frame, lo, hi):

@@ -1,9 +1,9 @@
-"""Random signal ensembles, noise, and the detection statistics.
+"""Random signal ensembles, their Gram matrix, and the dual signals.
 
-One trial draws a T x M matrix S of i.i.d. Gaussian signal samples, observes
-y = s_truth + z, and reduces it to the matched-filter vector v = S^T y (which
-satisfies v = G b + S^T z with G = S^T S) and, when a sensing frame is
-attached, the compressed statistic u = A G^{-1} v.
+A trial's signals are a T x M matrix S of i.i.d. Gaussian samples, and its
+Gram matrix G = S^T S enters every statistic the detectors read.  The trial
+pipeline itself (noise, y = s_truth + z, v = S^T y and u = A G^{-1} v) is
+harness.draw_trial and the harness's block kernel.
 
 All hypothesis indices in the public API are 1-based; internally they map to
 0-based columns of S.
@@ -19,7 +19,6 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DomainError, SingularGram
-from .frames import Frame
 from .rng import RngStream
 
 RngLike = Union[RngStream, np.random.Generator]
@@ -79,25 +78,13 @@ def draw_signals(params: ModelParams, rng: RngLike) -> np.ndarray:
     return params.energy * gen.standard_normal((params.t, params.m))
 
 
-def receive(params: ModelParams, signals: np.ndarray, truth: int, rng: RngLike) -> np.ndarray:
-    """Observed vector y = s_truth + z with z ~ N(0, sigma^2 I)."""
-    if not 1 <= truth <= params.m:
-        raise DomainError(f"truth index {truth} outside 1..{params.m}")
-    gen = as_generator(rng)
-    return signals[:, truth - 1] + params.sigma * gen.standard_normal(params.t)
-
-
-def matched_filter(signals: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vector of inner products v_i = <y, s_i>."""
-    return signals.T @ y
-
-
-def gram_matrix(signals: np.ndarray) -> np.ndarray:
-    return signals.T @ signals
+def gram_matrix(signals: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """G = S^T S, for one T x M signal matrix or one per matrix of a stack."""
+    return np.matmul(np.swapaxes(signals, -1, -2), signals, out=out)
 
 
 def gram_cholesky(gram: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the Gram matrix; raises SingularGram."""
+    """Lower Cholesky factor of G, or of each G of a stack; raises SingularGram."""
     if not np.all(np.isfinite(gram)):
         raise SingularGram("Gram matrix contains non-finite entries")
     try:
@@ -113,43 +100,3 @@ def biorthogonal_ensemble(signals: np.ndarray) -> np.ndarray:
     """
     chol = gram_cholesky(gram_matrix(signals))
     return cho_solve((chol, True), signals.T).T
-
-
-def approx_statistic(frame: Frame, gram: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Compressed statistic u = A G^{-1} v (a Cholesky solve, no inverse)."""
-    chol = gram_cholesky(gram)
-    return frame.apply(cho_solve((chol, True), v))
-
-
-@dataclass(frozen=True)
-class TrialDraw:
-    """One simulated realization of signals, noise, and statistics."""
-
-    signals: np.ndarray
-    gram: np.ndarray
-    truth: int
-    y: np.ndarray
-    v: np.ndarray
-    u: Optional[np.ndarray] = None
-
-
-def draw_trial(
-    params: ModelParams,
-    rng: RngLike,
-    frame: Optional[Frame] = None,
-    truth: int = 1,
-) -> TrialDraw:
-    """Draw a fresh ensemble and all statistics for one trial.
-
-    The signal matrix and the noise come from the same generator in a fixed
-    order, so a TrialDraw is a pure function of (params, rng state, truth).
-    """
-    if frame is not None and frame.m != params.m:
-        raise DomainError(f"frame has {frame.m} columns but the model has m={params.m}")
-    gen = as_generator(rng)
-    signals = draw_signals(params, gen)
-    y = receive(params, signals, truth, gen)
-    gram = gram_matrix(signals)
-    v = matched_filter(signals, y)
-    u = approx_statistic(frame, gram, v) if frame is not None else None
-    return TrialDraw(signals=signals, gram=gram, truth=truth, y=y, v=v, u=u)

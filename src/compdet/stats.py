@@ -70,13 +70,24 @@ class KsReport:
     passed: bool
 
 
-def pair_scale(energy: float, frame: Frame, pair: tuple) -> float:
-    """Exact chi-squared scale for a column pair: energy^2 * 2a(1 - g_ij)."""
+def _check_pair(frame: Frame, pair: tuple) -> tuple:
+    """The pair's two 1-based column indices; DomainError unless distinct and in 1..M."""
     i, j = pair
+    for k in (i, j):
+        if not 1 <= k <= frame.m:
+            raise DomainError(f"column index {k} outside 1..{frame.m}")
     if i == j:
         raise DomainError("pair indices must be distinct")
-    g_ij = float(frame.entries[:, i - 1] @ frame.entries[:, j - 1])
-    return energy**2 * 2.0 * frame.alpha * (1.0 - g_ij)
+    return i, j
+
+
+def pair_scale(energy: float, frame: Frame, pair: tuple) -> float:
+    """Exact chi-squared scale for a column pair: energy^2 * 2a(1 - g_ij), from A e_i and A e_j."""
+    i, j = _check_pair(frame, pair)
+    units = np.zeros((2, frame.m))
+    units[[0, 1], [i - 1, j - 1]] = 1.0
+    a_i, a_j = frame.apply(units)
+    return energy**2 * 2.0 * frame.alpha * (1.0 - float(a_i @ a_j))
 
 
 def sample_pair_distance2(
@@ -91,12 +102,7 @@ def sample_pair_distance2(
     same generator; they have probability zero and only occur through
     floating point accidents.
     """
-    i, j = pair
-    for k in (i, j):
-        if not 1 <= k <= frame.m:
-            raise DomainError(f"column index {k} outside 1..{frame.m}")
-    if i == j:
-        raise DomainError("pair indices must be distinct")
+    i, j = _check_pair(frame, pair)
     gen = as_generator(rng)
     out = np.empty(n_samples)
     k = 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from compdet import detectors, frames, gf2m, model
+from compdet import detectors, frames, gf2m, harness, model
 from compdet.model import ModelParams
 from compdet.rng import RngStream
 from frame_fixtures import frame_from_entries
@@ -64,7 +64,7 @@ def test_mfml_matches_nearest_signal_oracle():
     p = ModelParams.from_snr(m=8, t=16, snr=2.0)
     wrong_mf = 0
     for k in range(500):
-        trial = model.draw_trial(p, RngStream(31, k), truth=k % 8 + 1)
+        trial = harness.draw_trial(p, RngStream(31, k), truth=k % 8 + 1)
         dist2 = ((trial.y[:, None] - trial.signals) ** 2).sum(axis=0)
         verdict = detectors.detect_mfml(trial.v, np.diag(trial.gram))
         assert verdict == int(np.argmin(dist2)) + 1
@@ -85,7 +85,7 @@ def test_ml_square_orthonormal_frame_equals_mfml():
     frame = frame_from_entries(h)
     p = ModelParams.from_snr(m=8, t=16, snr=2.0)
     for k in range(300):
-        trial = model.draw_trial(p, RngStream(37, k), frame=frame)
+        trial = harness.draw_trial(p, RngStream(37, k), frame=frame)
         assert detect_ml(frame, trial.gram, trial.u) == detectors.detect_mfml(
             trial.v, np.diag(trial.gram)
         )
@@ -112,7 +112,7 @@ def test_ml_agrees_with_explicit_density_oracle():
     frame = frame_7x8()
     p = ModelParams.from_snr(m=8, t=16, snr=4.0)
     for k in range(500):
-        trial = model.draw_trial(p, RngStream(23, k), frame=frame)
+        trial = harness.draw_trial(p, RngStream(23, k), frame=frame)
         cov = p.sigma**2 * frame.entries @ np.linalg.solve(trial.gram, frame.entries.T)
         cov_inv = np.linalg.inv(cov)
         logps = [
@@ -132,7 +132,7 @@ def test_ml_square_orthonormal_frame_tracks_mf():
     p = ModelParams.from_snr(m=8, t=64, snr=8.0)
     agree = 0
     for k in range(1000):
-        trial = model.draw_trial(p, RngStream(29, k), frame=frame)
+        trial = harness.draw_trial(p, RngStream(29, k), frame=frame)
         agree += detect_ml(frame, trial.gram, trial.u) == detectors.detect_mf(trial.v)
     assert agree >= 990
 
@@ -166,7 +166,7 @@ def test_full_group_ml_matches_whitened_oracle(m, snr, beta):
     p = ModelParams.from_snr(m=m, t=beta * m, snr=snr)
     eps = np.finfo(float).eps
     for k in range(200):
-        trial = model.draw_trial(p, RngStream(41, k), frame=frame, truth=k % m + 1)
+        trial = harness.draw_trial(p, RngStream(41, k), frame=frame, truth=k % m + 1)
         ref = whitened_ml_scores(frame, trial.gram, trial.u)
         new = detectors.full_group_ml_scores(trial.v, trial.gram)
         tol = 1e-12 + (eps * np.linalg.cond(trial.gram) if beta == 1 else 0.0)
@@ -182,7 +182,7 @@ def test_full_group_ml_scores_exact_at_beta_one(m, draws):
     frame = full_group_frame(m)
     p = ModelParams.from_snr(m=m, t=m, snr=1.0)
     for k in range(draws):
-        trial = model.draw_trial(p, RngStream(43, k), frame=frame)
+        trial = harness.draw_trial(p, RngStream(43, k), frame=frame)
         with mpmath.workdps(40):
             a = mpmath.matrix(frame.entries.tolist())
             g_inv = mpmath.matrix(trial.gram.tolist()) ** -1
@@ -201,7 +201,7 @@ def test_full_group_ml_rank_one_term_matters():
     p = ModelParams.from_snr(m=16, t=32, snr=0.5)
     differ = 0
     for k in range(200):
-        trial = model.draw_trial(p, RngStream(41, k), frame=frame, truth=k % 16 + 1)
+        trial = harness.draw_trial(p, RngStream(41, k), frame=frame, truth=k % 16 + 1)
         ml = int(np.argmax(whitened_ml_scores(frame, trial.gram, trial.u))) + 1
         differ += detectors.detect_mfml(trial.v, np.diag(trial.gram)) != ml
     assert differ > 0
@@ -210,7 +210,7 @@ def test_full_group_ml_rank_one_term_matters():
 def test_whiten_matches_direct_covariance():
     frame = frame_16x5()
     p = ModelParams.from_snr(m=16, t=32, snr=1.0)
-    trial = model.draw_trial(p, RngStream(3, 0), frame=frame)
+    trial = harness.draw_trial(p, RngStream(3, 0), frame=frame)
     wf = whiten(frame, trial.gram)
     cov = frame.entries @ np.linalg.solve(trial.gram, frame.entries.T)
     np.testing.assert_allclose(wf.chol_c @ wf.chol_c.T, cov, rtol=1e-9, atol=1e-12)
@@ -229,11 +229,10 @@ def test_whitened_statistic_has_white_covariance():
     signals = model.draw_signals(p, RngStream(61, 0))
     gram = model.gram_matrix(signals)
     wf = whiten(frame, gram)
-    draws = np.empty((2000, 7))
-    for k in range(2000):
-        y = model.receive(p, signals, 1, RngStream(61, k + 1))
-        u = model.approx_statistic(frame, gram, model.matched_filter(signals, y))
-        draws[k] = solve_triangular(wf.chol_c, u, lower=True)
+    z = np.array([RngStream(61, k + 1).generator().standard_normal(p.t) for k in range(2000)])
+    chol = np.broadcast_to(np.linalg.cholesky(gram), (2000, 8, 8))
+    u = frame.apply(harness.cho_solve(chol, (signals[:, 0] + p.sigma * z) @ signals))
+    draws = solve_triangular(wf.chol_c, u.T, lower=True).T
     sample_cov = np.cov(draws.T)
     target = p.sigma**2 * np.eye(7)
     rel = np.linalg.norm(sample_cov - target) / np.linalg.norm(target)

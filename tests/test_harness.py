@@ -8,6 +8,7 @@ import pytest
 
 from compdet import harness, theory
 from compdet.errors import ConfigError
+from compdet.model import ModelParams
 from compdet.rng import RngStream
 from compdet.stats import clopper_pearson
 
@@ -33,6 +34,52 @@ def test_spec_validation_errors():
             harness.ExperimentSpec(**case)
     with pytest.raises(ConfigError):
         harness.ExperimentSpec(m=8, t=16, snr=2.0, trials=10, detectors=("ml",))  # n missing
+
+
+def test_spec_rejects_a_set_of_detectors():
+    # A set iterates in hash order, which changes from process to process, and
+    # so would the order of the result rows.
+    for dets in ({"mf", "ml", "mrdd", "rdd"}, frozenset({"mf"})):
+        with pytest.raises(ConfigError, match="set"):
+            harness.ExperimentSpec(m=8, t=16, snr=2.0, trials=10, n=7, detectors=dets)
+    spec = harness.ExperimentSpec(m=8, t=16, snr=2.0, trials=10, n=7, detectors=["ml", "mf"])
+    assert spec.detectors == ("ml", "mf")
+
+
+@pytest.mark.parametrize("config", [dict(m=8, t=16, n=7), dict(m=16, t=32, n=5)],
+                         ids=["kappa1", "kappa3"])
+def test_draw_trial_is_trial_k_of_a_kernel_block(config, monkeypatch):
+    # draw_trial(params, RngStream(seed, k), frame) gives, bit for bit, what
+    # the kernel draws and computes for trial k of a 256-trial block.
+    spec = harness.ExperimentSpec(snr=2.0, trials=256, detectors=("mrdd",), seed=17, **config)
+    params, frame = ModelParams.from_snr(spec.m, spec.t, spec.snr), harness.build_frame_for(spec)
+    seen = {}
+    real_draw, real_chol, real_mrdd = harness._draw_block, harness.gram_cholesky, harness.detect_mrdd
+
+    def draw(*args):
+        out = real_draw(*args)
+        seen["signals"], _, seen["y"], seen["v"] = (np.copy(a) for a in out)
+        return out
+
+    def chol(gram):
+        seen["gram"] = np.copy(gram)
+        return real_chol(gram)
+
+    def mrdd(frame_, u):
+        seen["u"] = np.copy(u)
+        return real_mrdd(frame_, u)
+
+    monkeypatch.setattr(harness, "_draw_block", draw)
+    monkeypatch.setattr(harness, "gram_cholesky", chol)
+    monkeypatch.setattr(harness, "detect_mrdd", mrdd)
+    harness._trial_counts(spec, params, frame, 0, 256)
+    monkeypatch.undo()
+    assert len(seen["signals"]) == 256
+    for k in (0, 1, 137, 255):
+        trial = harness.draw_trial(params, RngStream(spec.seed, k), frame)
+        for name in ("signals", "y", "v", "gram", "u"):
+            got, want = getattr(trial, name), seen[name][k]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, name)
 
 
 def test_degenerate_frame_rejected_at_run():

@@ -1,11 +1,12 @@
 """Signal model and statistic tests: exact identities plus moment checks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from compdet import frames, gf2m, model
+from compdet import frames, gf2m, harness, model
 from compdet.errors import DomainError, SingularGram
 from compdet.model import ModelParams
 from compdet.rng import RngStream
@@ -60,64 +61,73 @@ def test_draw_signals_second_moment():
 
 def test_receive_noiseless_limit():
     p = _degenerate_params(8, 32, 1.0, 0.0)
-    s = model.draw_signals(p, RngStream(1, 0))
-    y = model.receive(p, s, 3, RngStream(1, 1))
-    np.testing.assert_array_equal(y, s[:, 2])
+    trial = harness.draw_trial(p, RngStream(1, 0), truth=3)
+    np.testing.assert_array_equal(trial.y, trial.signals[:, 2])
 
 
 def test_receive_noise_energy():
     p = ModelParams(m=8, t=64, energy=1.0, sigma=1.0)
-    s = model.draw_signals(p, RngStream(5, 0))
     sq = []
     for k in range(100):
-        y = model.receive(p, s, 1, RngStream(5, k + 1))
-        sq.append(np.sum((y - s[:, 0]) ** 2))
+        trial = harness.draw_trial(p, RngStream(5, k))
+        sq.append(np.sum((trial.y - trial.signals[:, 0]) ** 2))
     assert abs(np.mean(sq) - p.t * p.sigma**2) / (p.t * p.sigma**2) < 0.1
 
 
 def test_receive_same_stream_differs_by_signal_difference():
+    # A given truth draws nothing, so both truths see the same signals and noise.
     p = params_snr()
-    s = model.draw_signals(p, RngStream(9, 0))
-    y1 = model.receive(p, s, 1, RngStream(9, 1))
-    y2 = model.receive(p, s, 2, RngStream(9, 1))
-    np.testing.assert_allclose(y1 - y2, s[:, 0] - s[:, 1], rtol=0, atol=1e-12)
+    y1 = harness.draw_trial(p, RngStream(9, 1), truth=1).y
+    trial = harness.draw_trial(p, RngStream(9, 1), truth=2)
+    np.testing.assert_allclose(y1 - trial.y, trial.signals[:, 0] - trial.signals[:, 1],
+                               rtol=0, atol=1e-12)
 
 
 def test_receive_rejects_bad_truth():
     p = params_snr()
-    s = model.draw_signals(p, RngStream(0, 0))
     with pytest.raises(DomainError):
-        model.receive(p, s, 0, RngStream(0, 1))
+        harness.draw_trial(p, RngStream(0, 1), truth=0)
     with pytest.raises(DomainError):
-        model.receive(p, s, 9, RngStream(0, 1))
+        harness.draw_trial(p, RngStream(0, 1), truth=9)
 
 
-def test_matched_filter_orthogonal_fixture():
+class _FixedDraws:
+    """Generator stand-in: successive standard_normal(out=...) calls copy the given arrays."""
+
+    def __init__(self, *arrays):
+        self._arrays = iter(arrays)
+
+    def standard_normal(self, out):
+        out[...] = next(self._arrays)
+
+
+def test_matched_filter_orthogonal_fixture(monkeypatch):
+    # The kernel's streams draw an orthogonal ensemble and no noise.
     s = np.zeros((6, 3))
     s[0, 0], s[2, 1], s[4, 2] = 2.0, 1.0, 1.0
-    v = model.matched_filter(s, s[:, 0])
-    np.testing.assert_allclose(v, [4.0, 0.0, 0.0])
+    stream = SimpleNamespace(generator=lambda attempt: _FixedDraws(s, np.zeros(6)))
+    monkeypatch.setattr(harness, "RngStream", lambda seed, trial: stream)
+    trial = harness.draw_trial(ModelParams(m=3, t=6), RngStream(0, 0))
+    np.testing.assert_allclose(trial.v, [4.0, 0.0, 0.0])
 
 
 def test_matched_filter_noiseless_identity():
-    p = params_snr(m=8, t=32)
-    s = model.draw_signals(p, RngStream(3, 0))
-    g = model.gram_matrix(s)
-    v = model.matched_filter(s, s[:, 0])
-    np.testing.assert_allclose(v, g[:, 0], rtol=1e-12)
+    p = _degenerate_params(8, 32, 1.0, 0.0)
+    for truth in (1, 5, 8):
+        trial = harness.draw_trial(p, RngStream(3, 0), truth=truth)
+        np.testing.assert_allclose(trial.v, trial.gram[:, truth - 1], rtol=1e-12)
 
 
 def test_matched_filter_decomposition_identity():
-    # v computed directly equals G b + S^T z for the same draw
+    # v = S^T y equals G e_k + S^T z, with z the noise the stream draws after S.
     p = params_snr(m=8, t=32, snr=2.0)
-    s = model.draw_signals(p, RngStream(11, 0))
-    gen = RngStream(11, 1).generator()
+    gen = RngStream(11, 0).generator()
+    gen.standard_normal((p.t, p.m))
     z = p.sigma * gen.standard_normal(p.t)
-    y = s[:, 0] + z
-    v = model.matched_filter(s, y)
-    g = model.gram_matrix(s)
-    rhs = g[:, 0] + s.T @ z
-    np.testing.assert_allclose(v, rhs, rtol=1e-8)
+    trial = harness.draw_trial(p, RngStream(11, 0), truth=4)
+    np.testing.assert_array_equal(trial.y, trial.signals[:, 3] + z)
+    np.testing.assert_array_equal(trial.v, trial.signals.T @ trial.y)
+    np.testing.assert_allclose(trial.v, trial.gram[:, 3] + trial.signals.T @ z, rtol=1e-8)
 
 
 def test_biorthogonal_identity():
@@ -154,11 +164,9 @@ def frame_7x8():
 
 def test_approx_statistic_noiseless_hits_column():
     frame = frame_7x8()
-    p = params_snr(m=8, t=16)
-    s = model.draw_signals(p, RngStream(2, 0))
-    g = model.gram_matrix(s)
-    u = model.approx_statistic(frame, g, g[:, 0])  # v = G b exactly
-    np.testing.assert_allclose(u, frame.entries[:, 0], rtol=0, atol=1e-8)
+    p = _degenerate_params(8, 16, 1.0, 0.0)
+    trial = harness.draw_trial(p, RngStream(2, 0), frame=frame)  # v = G e_1
+    np.testing.assert_allclose(trial.u, frame.entries[:, 0], rtol=0, atol=1e-8)
 
 
 def test_approx_statistic_conditional_covariance():
@@ -168,10 +176,10 @@ def test_approx_statistic_conditional_covariance():
     p = params_snr(m=8, t=16, snr=1.0)
     s = model.draw_signals(p, RngStream(31, 0))
     g = model.gram_matrix(s)
-    draws = np.empty((2000, 7))
-    for k in range(2000):
-        y = model.receive(p, s, 1, RngStream(31, k + 1))
-        draws[k] = model.approx_statistic(frame, g, model.matched_filter(s, y))
+    z = np.array([RngStream(31, k + 1).generator().standard_normal(p.t) for k in range(2000)])
+    v = (s[:, 0] + p.sigma * z) @ s
+    chol = np.broadcast_to(model.gram_cholesky(g), (2000, 8, 8))
+    draws = frame.apply(harness.cho_solve(chol, v))
     sample_cov = np.cov(draws.T)
     exact = p.sigma**2 * frame.entries @ np.linalg.solve(g, frame.entries.T)
     rel = np.linalg.norm(sample_cov - exact) / np.linalg.norm(exact)
@@ -183,7 +191,7 @@ def test_approx_statistic_square_frame_roundtrip():
     h = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))[0]
     frame = frame_from_entries(h)
     p = params_snr(m=8, t=24)
-    trial = model.draw_trial(p, RngStream(4, 0), frame=frame)
+    trial = harness.draw_trial(p, RngStream(4, 0), frame=frame)
     v_back = trial.gram @ (h.T @ trial.u)
     np.testing.assert_allclose(v_back, trial.v, rtol=1e-8)
 
@@ -205,14 +213,14 @@ def test_gram_mean_diagonal():
 def test_draw_trial_identities():
     frame = frame_7x8()
     p = params_snr(m=8, t=16, snr=2.0)
-    trial = model.draw_trial(p, RngStream(55, 0), frame=frame)
+    trial = harness.draw_trial(p, RngStream(55, 0), frame=frame)
     assert trial.truth == 1
     np.testing.assert_allclose(trial.gram, trial.signals.T @ trial.signals, rtol=1e-12)
     np.testing.assert_allclose(trial.v, trial.signals.T @ trial.y, rtol=1e-12)
     assert trial.u.shape == (7,)
     model.gram_cholesky(trial.gram)  # SPD
 
-    bare = model.draw_trial(p, RngStream(55, 0))
+    bare = harness.draw_trial(p, RngStream(55, 0))
     assert bare.u is None
     np.testing.assert_array_equal(bare.signals, trial.signals)
 
@@ -220,4 +228,4 @@ def test_draw_trial_identities():
 def test_draw_trial_frame_shape_mismatch():
     frame = frame_7x8()
     with pytest.raises(DomainError):
-        model.draw_trial(params_snr(m=16, t=32), RngStream(0, 0), frame=frame)
+        harness.draw_trial(params_snr(m=16, t=32), RngStream(0, 0), frame=frame)

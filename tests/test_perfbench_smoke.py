@@ -4,7 +4,8 @@ A run whose child crashes prints no result line, so the benchmark cannot be
 scored at all; these runs catch that before a full-length one would.  A
 traced run must also report every per-layer metric BENCHMARK.json declares:
 the trace wraps program names, and a name the program no longer has drops
-its metric from the result.
+its metric from the result, and on the Monte Carlo workloads the stream,
+Gram-factor and solve layers must read above zero.
 """
 
 import json
@@ -17,6 +18,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("throughput_per_s", "op_s", "setup_s", "peak_rss_mb")
 PER_LAYER = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+# Layers the Monte Carlo workloads must see at work: the trace wraps the stream
+# class, numpy's Cholesky and the solve where the harness calls them.
+WORK_LAYERS = ("rng.stream_open_us", "rng.draw_us", "model.gram_chol_us",
+               "model.compressed_stat_us")
 
 
 def _reject_constant(name):
@@ -39,3 +44,6 @@ def test_bench_run_ends_in_passing_result_line(workload, trace):
             assert result["metrics"][name]["value"] > 0, name
     else:
         assert set(result["metrics"]) == PER_LAYER
+        if workload in ("small_all", "large_ml"):
+            for name in WORK_LAYERS:
+                assert result["metrics"][name]["value"] > 0, name

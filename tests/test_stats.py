@@ -153,6 +153,34 @@ def test_pair_scale_requires_distinct_indices():
         stats.pair_scale(1.0, frame, (3, 3))
 
 
+def test_pair_scale_rejects_indices_outside_the_frame():
+    # Index 0 must not wrap around to column M, and M + 1 is past the last column.
+    params, frame = _setup_16_5()
+    for pair in ((0, 2), (2, 0), (17, 2), (-1, 3)):
+        with pytest.raises(DomainError):
+            stats.pair_scale(1.0, frame, pair)
+        with pytest.raises(DomainError):
+            stats.sample_pair_distance2(params, frame, pair, 1, RngStream(0, 0))
+
+
+def test_pair_scale_equals_the_dense_column_product():
+    _, frame = _setup_16_5()
+    entries = frame.entries
+    for i in range(1, 17):
+        for j in range(1, 17):
+            if i != j:
+                g_ij = float(entries[:, i - 1] @ entries[:, j - 1])
+                assert stats.pair_scale(1.5, frame, (i, j)) == 1.5**2 * 2.0 * frame.alpha * (1.0 - g_ij)
+
+
+def test_pair_scale_builds_no_dense_matrix():
+    # At kappa = 1 every pair of distinct columns has g_ij = -1/N.
+    frame = frames.build_group_hadamard(gf2m.FieldCtx.standard(10), 1023)
+    scale = stats.pair_scale(1.0, frame, (1, 2))
+    assert frame.__dict__["entries"] is None
+    assert scale == pytest.approx(2.0 * frame.alpha * (1.0 + 1.0 / 1023), rel=1e-12)
+
+
 # --- Clopper-Pearson ---
 
 def test_clopper_pearson_values():
