@@ -17,12 +17,21 @@ would make, so the verdicts do not depend on the block size.  draw_trial is
 the same draw and statistics for one trial.  Trials are keyed by stream
 id, so the result is a pure function of (spec, seed) and is identical for
 any thread count or execution order.
+
+A block that forms no Gram (only mf and mfml) and whose trials each draw at
+least _THREADED_DRAW_MIN normals draws its trials on a pool of one thread
+per core (_draw_block); numpy's fills release the interpreter lock.  Blocks
+that form a Gram draw serially: after an OpenBLAS call the second core stays
+busy, and threaded draws there measured slower.  The draw pool is not run's
+chunk pool, so chunk workers may wait on draw tasks; draw tasks submit nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -51,6 +60,13 @@ MAX_DISCARD_FRACTION = 1e-3
 _MAX_ATTEMPTS = 64
 _CHUNK = 256  # trials per work item; a multiple of rng._KEY_BLOCK
 _BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked signal matrices
+# Normals (T * M) one trial must draw for a Gram-free block to draw on
+# threads; below it the hand-off costs more than the second core saves.
+_THREADED_DRAW_MIN = 1 << 14
+_DRAW_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+_draw_pool_lock = threading.Lock()
+_draw_executor = None
 
 
 @dataclass(frozen=True)
@@ -167,29 +183,78 @@ def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_size(m: int, t: int) -> int:
-    """Trials per block: as many T x M signal matrices as _BLOCK_BYTES holds, at most _CHUNK."""
-    return max(1, min(_CHUNK, _BLOCK_BYTES // (8 * m * t)))
+def _threaded_draw(params, frame) -> bool:
+    """Whether a block's trials draw on the draw pool: no Gram formed, and large trials."""
+    return frame is None and params.t * params.m >= _THREADED_DRAW_MIN and _DRAW_WORKERS > 1
 
 
-def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work):
+def _block_size(m: int, t: int, threaded: bool) -> int:
+    """Trials per block: as many T x M signal matrices as _BLOCK_BYTES holds, at most _CHUNK.
+
+    A threaded block holds at least one trial per draw worker.
+    """
+    size = max(1, min(_CHUNK, _BLOCK_BYTES // (8 * m * t)))
+    return max(size, _DRAW_WORKERS) if threaded else size
+
+
+def _draw_pool() -> ThreadPoolExecutor:
+    """The process's draw pool, one thread per core, created on first use."""
+    global _draw_executor
+    with _draw_pool_lock:
+        if _draw_executor is None:
+            _draw_executor = ThreadPoolExecutor(max_workers=_DRAW_WORKERS,
+                                                thread_name_prefix="compdet-draw")
+        return _draw_executor
+
+
+def _forget_draw_pool():
+    """In a forked child: the parent's draw threads do not exist there, so start afresh."""
+    global _draw_executor, _draw_pool_lock
+    _draw_executor, _draw_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_draw_pool)
+
+
+def _draw_slices(b: int, parts: int) -> list:
+    """Rows 0..b-1 as at most parts contiguous ranges of near-equal length."""
+    bounds = [b * k // parts for k in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work, threaded=False):
     """(signals, truth, y, v) for a block of trials, all at one attempt.
 
     Each trial draws from its own stream RngStream(seed, trial) in the order
     signals, truth, noise, exactly as it would alone.  With truth None each
     trial draws its truth, uniform on 1..M; else the given array is used.
     work holds the (signals, noise) buffers, with room for len(trials) trials.
+    With threaded set, contiguous slices of the trials fill their rows on the
+    draw pool; each row still comes from its trial's stream alone, so the
+    arrays are bit-identical to a serial fill.
     """
     b = len(trials)
     signals, noise = (buf[:b] for buf in work)
     draws_truth = truth is None
     truth = np.empty(b, dtype=np.int64) if draws_truth else truth
-    for i, trial in enumerate(trials.tolist()):
-        gen = RngStream(seed, trial).generator(attempt)
-        gen.standard_normal(out=signals[i])
-        if draws_truth:
-            truth[i] = gen.integers(1, params.m + 1)
-        gen.standard_normal(out=noise[i])
+    ids = trials.tolist()
+
+    def fill(rows):
+        for i in rows:
+            # RngStream is looked up at call time, so a replaced harness.RngStream
+            # also serves the draw workers.
+            gen = RngStream(seed, ids[i]).generator(attempt)
+            gen.standard_normal(out=signals[i])
+            if draws_truth:
+                truth[i] = gen.integers(1, params.m + 1)
+            gen.standard_normal(out=noise[i])
+
+    if threaded and b > 1:
+        # Reading every result raises a worker's exception here.
+        list(_draw_pool().map(fill, _draw_slices(b, _DRAW_WORKERS)))
+    else:
+        fill(range(b))
     signals *= params.energy
     y = signals[np.arange(b), :, truth - 1] + params.sigma * noise
     v = (np.swapaxes(signals, 1, 2) @ y[:, :, None])[:, :, 0]
@@ -206,7 +271,8 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
     """
     dets, b = spec.detectors, len(trials)
     truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
-    signals, truth, _, v = _draw_block(spec.seed, params, trials, attempt, truth, work[:2])
+    signals, truth, _, v = _draw_block(spec.seed, params, trials, attempt, truth, work[:2],
+                                       _threaded_draw(params, frame))
 
     verdicts = {}
     if "mf" in dets:
@@ -281,7 +347,7 @@ def _trial_counts(spec, params, frame, lo, hi):
     """
     counts = dict.fromkeys(spec.detectors, 0)
     discards = 0
-    size = _block_size(params.m, params.t)
+    size = _block_size(params.m, params.t, _threaded_draw(params, frame))
     # The block buffers live across blocks.  Freeing megabytes at the end of
     # every block lets malloc hand them back to the system, and the next block
     # page-faults them in again: ~400 faults and up to 20% of a trial at M=256.
