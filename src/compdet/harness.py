@@ -18,20 +18,21 @@ the same draw and statistics for one trial.  Trials are keyed by stream
 id, so the result is a pure function of (spec, seed) and is identical for
 any thread count or execution order.
 
-A block that forms no Gram (only mf and mfml) and whose trials each draw at
-least _THREADED_DRAW_MIN normals draws its trials on a pool of one thread
-per core (_draw_block); numpy's fills release the interpreter lock.  Blocks
-that form a Gram draw serially: after an OpenBLAS call the second core stays
-busy, and threaded draws there measured slower.  The draw pool is not run's
-chunk pool, so chunk workers may wait on draw tasks; draw tasks submit nothing.
+When run uses one thread, a block that forms no Gram (only mf and mfml)
+and whose trials each draw at least _THREADED_DRAW_MIN normals draws its
+trials on a pool of one thread per core (_draw_block); numpy's fills release
+the interpreter lock, and each trial still draws from its own stream alone.
+Blocks that form a Gram draw serially: after an OpenBLAS call the second
+core stays busy, and threaded draws there measured slower.  With threads > 1
+the chunk workers already fill the cores and draw serially.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -61,12 +62,11 @@ _MAX_ATTEMPTS = 64
 _CHUNK = 256  # trials per work item; a multiple of rng._KEY_BLOCK
 _BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked signal matrices
 # Normals (T * M) one trial must draw for a Gram-free block to draw on
-# threads; below it the hand-off costs more than the second core saves.
-_THREADED_DRAW_MIN = 1 << 14
+# threads.  In in-process mf runs on 2 cores, threads lost at T*M <= 2048 and
+# in 2 of 3 runs at 4096, and won from 8192 on (ROADMAP item 2 has the runs).
+_THREADED_DRAW_MIN = 1 << 13
 _DRAW_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
-_draw_pool_lock = threading.Lock()
-_draw_executor = None
 
 
 @dataclass(frozen=True)
@@ -184,37 +184,19 @@ def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _threaded_draw(params, frame) -> bool:
-    """Whether a block's trials draw on the draw pool: no Gram formed, and large trials."""
+    """Whether a block's trials may draw on threads: no Gram formed, and large trials."""
     return frame is None and params.t * params.m >= _THREADED_DRAW_MIN and _DRAW_WORKERS > 1
 
 
 def _block_size(m: int, t: int, threaded: bool) -> int:
     """Trials per block: as many T x M signal matrices as _BLOCK_BYTES holds, at most _CHUNK.
 
-    A threaded block holds at least one trial per draw worker.
+    A threaded block holds at least two trials, so two draw workers have work
+    even where one trial fills the budget; a block then holds at most
+    max(_BLOCK_BYTES, two trials) of signals on any number of cores.
     """
     size = max(1, min(_CHUNK, _BLOCK_BYTES // (8 * m * t)))
-    return max(size, _DRAW_WORKERS) if threaded else size
-
-
-def _draw_pool() -> ThreadPoolExecutor:
-    """The process's draw pool, one thread per core, created on first use."""
-    global _draw_executor
-    with _draw_pool_lock:
-        if _draw_executor is None:
-            _draw_executor = ThreadPoolExecutor(max_workers=_DRAW_WORKERS,
-                                                thread_name_prefix="compdet-draw")
-        return _draw_executor
-
-
-def _forget_draw_pool():
-    """In a forked child: the parent's draw threads do not exist there, so start afresh."""
-    global _draw_executor, _draw_pool_lock
-    _draw_executor, _draw_pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_draw_pool)
+    return max(size, 2) if threaded else size
 
 
 def _draw_slices(b: int, parts: int) -> list:
@@ -223,16 +205,16 @@ def _draw_slices(b: int, parts: int) -> list:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work, threaded=False):
+def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work, pool=None):
     """(signals, truth, y, v) for a block of trials, all at one attempt.
 
     Each trial draws from its own stream RngStream(seed, trial) in the order
     signals, truth, noise, exactly as it would alone.  With truth None each
     trial draws its truth, uniform on 1..M; else the given array is used.
     work holds the (signals, noise) buffers, with room for len(trials) trials.
-    With threaded set, contiguous slices of the trials fill their rows on the
-    draw pool; each row still comes from its trial's stream alone, so the
-    arrays are bit-identical to a serial fill.
+    Given a thread pool, contiguous slices of the trials fill their rows on
+    it; each row still comes from its trial's stream alone, so the arrays are
+    bit-identical to a serial fill.
     """
     b = len(trials)
     signals, noise = (buf[:b] for buf in work)
@@ -250,9 +232,9 @@ def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work, thr
                 truth[i] = gen.integers(1, params.m + 1)
             gen.standard_normal(out=noise[i])
 
-    if threaded and b > 1:
+    if pool is not None and b > 1:
         # Reading every result raises a worker's exception here.
-        list(_draw_pool().map(fill, _draw_slices(b, _DRAW_WORKERS)))
+        list(pool.map(fill, _draw_slices(b, _DRAW_WORKERS)))
     else:
         fill(range(b))
     signals *= params.energy
@@ -261,18 +243,17 @@ def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work, thr
     return signals, truth, y, v
 
 
-def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
+def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work, pool=None):
     """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
 
-    The trials are drawn by _draw_block.  work holds the (signals, noise,
-    Gram) buffers, with room for at least len(trials) trials.  failed is
-    None, or, when a Gram or compressed covariance is singular, the mask of
-    the trials that failed (and verdicts is empty).
+    The trials are drawn by _draw_block, on pool if given.  work holds the
+    (signals, noise, Gram) buffers, with room for at least len(trials)
+    trials.  failed is None, or, when a Gram or compressed covariance is
+    singular, the mask of the trials that failed (and verdicts is empty).
     """
     dets, b = spec.detectors, len(trials)
     truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
-    signals, truth, _, v = _draw_block(spec.seed, params, trials, attempt, truth, work[:2],
-                                       _threaded_draw(params, frame))
+    signals, truth, _, v = _draw_block(spec.seed, params, trials, attempt, truth, work[:2], pool)
 
     verdicts = {}
     if "mf" in dets:
@@ -337,36 +318,40 @@ def draw_trial(params: ModelParams, stream: RngStream, frame: Optional[frames.Fr
     return TrialDraw(signals=signals[0], gram=gram[0], truth=truth, y=y[0], v=v[0], u=u)
 
 
-def _trial_counts(spec, params, frame, lo, hi):
+def _trial_counts(spec, params, frame, lo, hi, draw_threads=True):
     """Error counts for trials [lo, hi); returns (counts dict, discards).
 
     Trials run in blocks (_block_verdicts).  A trial whose Gram or covariance
     is singular is discarded and redrawn from its next attempt's stream; the
     rest of its block is evaluated again at the same attempt, which replays
-    the same draws.
+    the same draws.  With draw_threads set, blocks that _threaded_draw allows
+    draw on a pool of _DRAW_WORKERS threads that lives for this call.
     """
     counts = dict.fromkeys(spec.detectors, 0)
     discards = 0
-    size = _block_size(params.m, params.t, _threaded_draw(params, frame))
+    threaded = draw_threads and _threaded_draw(params, frame)
+    size = _block_size(params.m, params.t, threaded)
     # The block buffers live across blocks.  Freeing megabytes at the end of
     # every block lets malloc hand them back to the system, and the next block
     # page-faults them in again: ~400 faults and up to 20% of a trial at M=256.
     t, m = params.t, params.m
     work = np.empty((size, t, m)), np.empty((size, t)), np.empty((size, m, m))
     pending = [(np.arange(start, min(start + size, hi)), 0) for start in range(lo, hi, size)]
-    while pending:
-        trials, attempt = pending.pop()
-        if attempt == _MAX_ATTEMPTS:
-            raise NumericalFailure(f"trial {trials[0]} failed {_MAX_ATTEMPTS} redraw attempts")
-        truth, verdicts, failed = _block_verdicts(spec, params, frame, trials, attempt, work)
-        if failed is not None:
-            discards += int(failed.sum())
-            pending.append((trials[failed], attempt + 1))
-            if not failed.all():
-                pending.append((trials[~failed], attempt))
-            continue
-        for name, verdict in verdicts.items():
-            counts[name] += int(np.count_nonzero(verdict != truth))
+    with ThreadPoolExecutor(_DRAW_WORKERS) if threaded else contextlib.nullcontext() as pool:
+        while pending:
+            trials, attempt = pending.pop()
+            if attempt == _MAX_ATTEMPTS:
+                raise NumericalFailure(f"trial {trials[0]} failed {_MAX_ATTEMPTS} redraw attempts")
+            truth, verdicts, failed = _block_verdicts(spec, params, frame, trials, attempt, work,
+                                                      pool)
+            if failed is not None:
+                discards += int(failed.sum())
+                pending.append((trials[failed], attempt + 1))
+                if not failed.all():
+                    pending.append((trials[~failed], attempt))
+                continue
+            for name, verdict in verdicts.items():
+                counts[name] += int(np.count_nonzero(verdict != truth))
     return counts, discards
 
 
@@ -402,8 +387,10 @@ def run(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         partials = [_trial_counts(spec, params, frame, lo, hi) for lo, hi in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
+            # The chunk workers fill the cores; each draws its blocks serially.
             partials = list(
-                pool.map(lambda c: _trial_counts(spec, params, frame, *c), chunks)
+                pool.map(lambda c: _trial_counts(spec, params, frame, *c, draw_threads=False),
+                         chunks)
             )
 
     counts = dict.fromkeys(spec.detectors, 0)

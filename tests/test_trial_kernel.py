@@ -6,12 +6,8 @@ the same (spec, trial range) the kernel must give the same error counts and
 the same discards, also when trials are forced to be redrawn.
 """
 
-import collections
 import dataclasses
 import itertools
-import multiprocessing
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -243,165 +239,3 @@ def test_ml_alone_keeps_the_gram_discards(monkeypatch):
     (counts, discards), (ref_counts, ref_discards) = _both(spec, 0, 20)
     assert discards == ref_discards == 3
     assert counts == ref_counts
-
-
-# --- Gram-free blocks drawn on threads ---
-
-
-MF_LARGE = dict(m=256, t=512, snr=0.03, detectors=("mf", "mfml"))  # threaded, B >= nproc
-MF_ABOVE = dict(m=64, t=257, snr=0.03, detectors=("mf", "mfml"))  # T*M just above the threshold
-MF_BELOW = dict(m=64, t=255, snr=0.03, detectors=("mf", "mfml"))  # T*M just below it
-
-
-@pytest.fixture
-def two_draw_workers(monkeypatch):
-    """Two draw workers on any machine, so blocks above the threshold draw on threads."""
-    monkeypatch.setattr(harness, "_DRAW_WORKERS", 2)
-
-
-def _threaded_block_draws(monkeypatch, spec):
-    """Every trial's (signals, y, v) as the kernel's blocks drew them, and the stream opens."""
-    params, frame = _setup(spec)
-    rows, opens, lock = {}, collections.Counter(), threading.Lock()
-    real_draw, base = harness._draw_block, harness.RngStream
-
-    class CountingStream(base):
-        def generator(self, attempt=0):
-            with lock:
-                opens[self.stream_id, attempt] += 1
-            return base.generator(self, attempt)
-
-    def draw(*args):
-        assert args[-1] is True, "a Gram-free M=256 block drew serially"
-        signals, _, y, v = out = real_draw(*args)
-        for i, trial in enumerate(args[2].tolist()):
-            rows[trial] = tuple(np.copy(a[i]) for a in (signals, y, v))
-        return out
-
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "RngStream", CountingStream)
-        patch.setattr(harness, "_draw_block", draw)
-        harness._trial_counts(spec, params, frame, 0, spec.trials)
-    return params, rows, opens
-
-
-def _lone_trial(spec, params, k):
-    """Trial k's (signals, y, v) alone: draw_trial, or a serial one-trial block drawing truth."""
-    if not spec.randomize_truth:
-        trial = harness.draw_trial(params, harness.RngStream(spec.seed, k))
-        return trial.signals, trial.y, trial.v
-    work = np.empty((1, params.t, params.m)), np.empty((1, params.t))
-    signals, _, y, v = harness._draw_block(spec.seed, params, np.array([k]), 0, None, work)
-    return signals[0], y[0], v[0]
-
-
-def _assert_blocks_match_draw_trial(monkeypatch, spec):
-    params, rows, opens = _threaded_block_draws(monkeypatch, spec)
-    assert opens == {(k, 0): 1 for k in range(spec.trials)}, "a trial was drawn twice or not at all"
-    for k in (0, 1, spec.trials - 1):
-        for name, got, want in zip(("signals", "y", "v"), _lone_trial(spec, params, k), rows[k]):
-            assert got.tobytes() == want.tobytes(), (k, name)
-
-
-@pytest.mark.usefixtures("two_draw_workers")
-@pytest.mark.parametrize("randomize_truth", [False, True])
-def test_threaded_blocks_match_draw_trial(monkeypatch, randomize_truth):
-    # Three trials: a two-trial block, then a one-trial block shorter than
-    # the worker count.
-    spec = harness.ExperimentSpec(trials=3, seed=11, randomize_truth=randomize_truth, **MF_LARGE)
-    _assert_blocks_match_draw_trial(monkeypatch, spec)
-
-
-@pytest.mark.parametrize("split", [
-    lambda b, parts: [range(0, b), range(b - 1, b)],  # the last trial drawn twice
-    lambda b, parts: [range(0, b - 1)] if b > 1 else [range(b)],  # a block's last trial skipped
-], ids=["overlap", "skip"])
-@pytest.mark.usefixtures("two_draw_workers")
-def test_threaded_block_check_catches_a_bad_split(monkeypatch, split):
-    spec = harness.ExperimentSpec(trials=3, seed=11, **MF_LARGE)
-    monkeypatch.setattr(harness, "_draw_slices", split)
-    with pytest.raises(AssertionError):
-        _assert_blocks_match_draw_trial(monkeypatch, spec)
-
-
-@pytest.mark.usefixtures("two_draw_workers")
-@pytest.mark.parametrize("config,trials", [(MF_LARGE, 41), (MF_ABOVE, 101)],
-                         ids=["m256", "m64-t257"])
-@pytest.mark.parametrize("randomize_truth", [False, True])
-def test_threaded_blocks_match_reference_counts(config, trials, randomize_truth):
-    spec = harness.ExperimentSpec(trials=trials, seed=9, randomize_truth=randomize_truth, **config)
-    assert harness._threaded_draw(*_setup(spec))
-    kernel, reference = _both(spec, 0, trials)
-    assert sum(reference[0].values()) > 0
-    assert kernel == reference
-
-
-@pytest.mark.usefixtures("two_draw_workers")
-def test_only_large_gram_free_blocks_use_the_draw_pool(monkeypatch):
-    def no_pool():
-        raise AssertionError("drew on the pool")
-
-    monkeypatch.setattr(harness, "_draw_pool", no_pool)
-    for config in (MF_BELOW, dict(KAPPA1, detectors=harness.DETECTOR_NAMES),
-                   dict(m=256, t=512, n=255, snr=0.03, detectors=("mf", "ml"))):
-        harness.run(harness.ExperimentSpec(trials=4, **config))
-    with pytest.raises(AssertionError, match="drew on the pool"):
-        harness.run(harness.ExperimentSpec(trials=4, **MF_ABOVE))
-
-
-class _Boom(RuntimeError):
-    pass
-
-
-@pytest.mark.usefixtures("two_draw_workers")
-def test_a_draw_worker_error_reaches_the_caller_and_the_pool_recovers(monkeypatch):
-    spec = harness.ExperimentSpec(trials=9, seed=5, randomize_truth=True, **MF_LARGE)
-    base = harness.RngStream
-
-    class FailingStream(base):
-        def generator(self, attempt=0):
-            if self.stream_id == 7:
-                raise _Boom(f"stream {self.stream_id}")
-            return base.generator(self, attempt)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "RngStream", FailingStream)
-        # Trial 7 is the second slice of the block (6, 7), drawn on a worker.
-        with pytest.raises(_Boom, match="stream 7"):
-            harness.run(spec)
-    params, frame = _setup(spec)
-    counts, discards = reference_trial_counts(spec, params, frame, 0, spec.trials)
-    result = harness.run(spec)
-    assert {d: s.errors for d, s in result.per_detector.items()} == counts
-    assert result.discarded_trials == discards == 0
-
-
-@pytest.mark.usefixtures("two_draw_workers")
-def test_chunk_workers_share_the_draw_pool():
-    # Three chunks on four chunk workers, each waiting on draw tasks; a short
-    # switch interval makes the threads interleave often.
-    spec = harness.ExperimentSpec(trials=2 * harness._CHUNK + 50, seed=13, randomize_truth=True,
-                                  **MF_LARGE)
-    serial = harness.run(spec, threads=1)
-    results = []
-    runner = threading.Thread(target=lambda: results.append(harness.run(spec, threads=4)),
-                              daemon=True)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner.start()
-        runner.join(timeout=300)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive(), "run(threads=4) did not finish: chunk and draw workers deadlocked"
-    assert results == [serial]
-
-
-@pytest.mark.usefixtures("two_draw_workers")
-def test_a_forked_child_draws_on_its_own_pool():
-    # The parent's pool exists before the fork; its threads do not exist in
-    # the child, which would wait on them for ever.
-    spec = harness.ExperimentSpec(trials=4, seed=3, **MF_LARGE)
-    expected = harness.run(spec)
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply_async(harness.run, (spec,)).get(timeout=120) == expected
