@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Time in-process ``harness.run`` in ms/trial, for a change against its parent.
+
+    python scripts/kernel_bench.py --parent ../parent-checkout --rounds 3 --out BENCH_18.json
+    python scripts/kernel_bench.py --threshold --rounds 4 --out BENCH_18.json
+
+The default mode times four configs at worker caps None/1/2/4 (``run``'s
+``threads``), each measurement in a fresh interpreter that imports compdet
+from one tree's ``src``: M=64 N=21 and M=256 N=85 (kappa = 3, whitened ML),
+M=256 N=255 (kappa = 1) and M=256 ``mf`` with random truth.  The parent and
+this tree alternate, and the side that runs first swaps each round.  The
+cap None calls ``run`` without one, so each tree runs at its default.
+
+--threshold times this tree alone at configs on both sides of
+``harness._THREADED_DRAW_MIN`` normals per trial (T*M), with and without a
+Gram, one worker against one per core with the threshold lowered to 0.
+
+The results go under one key ("kernel_bench" or "threshold") of the JSON
+file given by --out; its other keys are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CONFIGS = {
+    "m64_n21_k3": (dict(m=64, t=128, n=21, snr=1.0, detectors=("mf", "ml", "mrdd")), 1500),
+    "m256_n85_k3": (dict(m=256, t=512, n=85, snr=0.03, detectors=("ml", "mrdd")), 60),
+    "m256_n255": (dict(m=256, t=512, n=255, snr=0.03, detectors=("ml", "mrdd")), 200),
+    "m256_mf": (dict(m=256, t=512, snr=0.03, detectors=("mf",), randomize_truth=True), 400),
+}
+THREADS = (None, 1, 2, 4)
+# (M, T, N) and the trials of one measurement: T*M from 2^11 to 2^14 with ml and
+# mrdd, which form a Gram, and from 2^7 to 2^13 with N None and mf and mfml, which do not.
+THRESHOLD_CONFIGS = [
+    ((16, 128, 5), 3000), ((32, 64, 31), 3000), ((16, 256, 5), 2000), ((32, 128, 31), 2000),
+    ((64, 64, 63), 2000), ((32, 256, 31), 1500), ((64, 128, 21), 1500), ((64, 256, 21), 800),
+    ((8, 16, None), 20000), ((16, 128, None), 5000), ((64, 64, None), 5000),
+    ((32, 128, None), 5000), ((64, 128, None), 3000),
+]
+
+# One measurement: a short warm-up run, then the timed run; prints ms/trial.
+_MEASURE = """
+import json, sys, time
+from compdet import harness
+spec, trials, threads, lower = json.loads(sys.argv[1])
+if lower:
+    harness._THREADED_DRAW_MIN = 0
+kwargs = {} if threads is None else {"threads": threads}
+spec["detectors"] = tuple(spec["detectors"])
+harness.run(harness.ExperimentSpec(trials=8, seed=1, **spec), **kwargs)
+start = time.perf_counter()
+harness.run(harness.ExperimentSpec(trials=trials, seed=7, **spec), **kwargs)
+print((time.perf_counter() - start) / trials * 1e3)
+"""
+
+
+def measure(tree: Path, spec: dict, trials: int, threads, lower: bool = False) -> float:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    arg = json.dumps([spec, trials, threads, lower])
+    proc = subprocess.run([sys.executable, "-c", _MEASURE, arg], env=env, capture_output=True,
+                          text=True, check=True, timeout=600)
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": med, "q1": q1, "q3": q3, "min": min(values), "max": max(values),
+            "n": len(values)}
+
+
+def environment() -> dict:
+    blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def compare(parent: Path, rounds: int) -> dict:
+    sides = {"parent": parent, "change": ROOT}
+    runs = []
+    for r in range(rounds):
+        order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+        for name, (spec, trials) in CONFIGS.items():
+            for threads in THREADS:
+                for side in order:
+                    ms = measure(sides[side], spec, trials, threads)
+                    runs.append({"round": r, "config": name, "threads": threads, "side": side,
+                                 "ms_per_trial": ms})
+                    print(f"round {r} {name} threads={threads} {side}: {ms:.3f} ms/trial",
+                          file=sys.stderr)
+    medians = {f"{name} threads={threads}": {side: summary(
+        [x["ms_per_trial"] for x in runs
+         if x["config"] == name and x["threads"] == threads and x["side"] == side])
+        for side in sides} for name in CONFIGS for threads in THREADS}
+    return {"parent": str(parent), "runs": runs, "medians": medians}
+
+
+def threshold(rounds: int) -> dict:
+    runs = []
+    for r in range(rounds):
+        for (m, t, n), trials in THRESHOLD_CONFIGS:
+            spec = dict(m=m, t=t, n=n, snr=1.0,
+                        detectors=("mf", "mfml") if n is None else ("ml", "mrdd"))
+            for workers in (["one", "per_core"] if r % 2 == 0 else ["per_core", "one"]):
+                ms = measure(ROOT, spec, trials, 1 if workers == "one" else None, lower=True)
+                runs.append({"round": r, "m": m, "t": t, "n": n, "tm": t * m,
+                             "workers": workers, "us_per_trial": ms * 1e3})
+                print(f"round {r} M={m} T={t} N={n} {workers}: {ms * 1e3:.1f} us/trial",
+                      file=sys.stderr)
+    medians = {f"M={m} T={t} N={n} (T*M={t * m})": {w: summary(
+        [x["us_per_trial"] for x in runs if (x["m"], x["t"], x["n"], x["workers"]) == (m, t, n, w)])
+        for w in ("one", "per_core")} for (m, t, n), _ in THRESHOLD_CONFIGS}
+    return {"runs": runs, "medians": medians}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--threshold", action="store_true",
+                        help="time one worker against one per core around the threshold")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
+    args = parser.parse_args()
+    if args.threshold:
+        key, result = "threshold", threshold(args.rounds)
+    elif args.parent is None:
+        parser.error("--parent is required unless --threshold is given")
+    else:
+        key, result = "kernel_bench", compare(args.parent.resolve(), args.rounds)
+    result = {"command": " ".join(["python", "scripts/kernel_bench.py"] + sys.argv[1:]),
+              "environment": environment(), **result}
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[key] = result
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    for name, sides in result["medians"].items():
+        print(name, {side: round(s["median"], 3) for side, s in sides.items()})
+
+
+if __name__ == "__main__":
+    main()

@@ -138,6 +138,12 @@ def _merged_config(args) -> dict:
     return cfg
 
 
+def _threads(cfg: dict):
+    """The worker cap from --threads or the config file; None for one worker per core."""
+    threads = cfg.get("threads")
+    return None if threads is None else int(threads)
+
+
 def _spec_from_config(cfg: dict) -> harness.ExperimentSpec:
     sources = cfg.get("_sources", {})
     for key in ("m", "t", "snr", "trials"):
@@ -217,8 +223,7 @@ def cmd_frame(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _merged_config(args)
     spec = _spec_from_config(cfg)
-    threads = int(cfg.get("threads", 1))
-    result = harness.run(spec, threads=threads)
+    result = harness.run(spec, threads=_threads(cfg))
     out = cfg.get("output_path")
     _write_csv(_result_rows(result), out)
     if out is not None:
@@ -277,8 +282,7 @@ def cmd_sweep(args) -> int:
         _write_csv(rows, cfg.get("output_path"))
         return EXIT_OK
     base = _spec_from_config(cfg)
-    threads = int(cfg.get("threads", 1))
-    results = harness.sweep(base, args.axis, values, threads=threads)
+    results = harness.sweep(base, args.axis, values, threads=_threads(cfg))
     rows = []
     for result in results:
         rows.extend(_result_rows(result))
@@ -338,7 +342,7 @@ def _check_wishart(seed: int, n_samples: int) -> tuple:
     return ok, detail
 
 
-def _validate_run(seed: int, snr: float, trials: int, detectors: tuple, threads: int):
+def _validate_run(seed: int, snr: float, trials: int, detectors: tuple, threads: Optional[int]):
     spec = harness.ExperimentSpec(
         m=8, t=16, snr=snr, trials=trials, n=7, detectors=detectors, seed=seed
     )
@@ -357,12 +361,12 @@ def _check_sandwich(result: harness.ExperimentResult) -> tuple:
     return ok, detail
 
 
-def _ordering_run(seed: int, quick: bool, threads: int) -> harness.ExperimentResult:
+def _ordering_run(seed: int, quick: bool, threads: Optional[int]) -> harness.ExperimentResult:
     return _validate_run(seed, 1.0 if quick else 2.0, 6000 if quick else 100_000,
                          ("mfml", "ml", "mrdd"), threads)
 
 
-def _check_ordering(seed: int, quick: bool, threads: int, result=None) -> tuple:
+def _check_ordering(seed: int, quick: bool, threads: Optional[int], result=None) -> tuple:
     # The paper's order, ML on v (mfml) <= ML <= MRDD, at a config where every
     # rule errs often; too few errors fail the check instead of passing it.
     if result is None:
@@ -381,7 +385,7 @@ def _check_ordering(seed: int, quick: bool, threads: int, result=None) -> tuple:
 def cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     quick = args.quick
-    threads = args.threads if args.threads is not None else 1
+    threads = args.threads
     ordering_run = functools.cache(lambda: _ordering_run(seed, quick, threads))
     # In full mode the ordering run has the sandwich's config and seed, and so
     # its draws: one run feeds both checks.  --quick orders at a lower SNR.
@@ -405,6 +409,10 @@ def cmd_validate(args) -> int:
 # Entry point
 
 
+THREADS_HELP = ("most worker threads (default: one per core); results do not depend on it, "
+                "and trials that draw fewer than 2^12 normals (T*M) run on one")
+
+
 def _add_common_flags(sub):
     sub.add_argument("--config", help="flat JSON config file; flags take precedence")
     sub.add_argument("--m", type=int)
@@ -419,7 +427,7 @@ def _add_common_flags(sub):
     sub.add_argument("--ci-level", dest="ci_level", type=float)
     sub.add_argument("--randomize-truth", dest="randomize_truth", action="store_const", const=True)
     sub.add_argument("--out", help="CSV output path (stdout when omitted)")
-    sub.add_argument("--threads", type=int)
+    sub.add_argument("--threads", type=int, help=THREADS_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = subs.add_parser("validate", help="run the built-in validation suite")
     p_val.add_argument("--seed", type=int)
     p_val.add_argument("--quick", action="store_true", help="m <= 16 subset, runs in seconds")
-    p_val.add_argument("--threads", type=int)
+    p_val.add_argument("--threads", type=int, help=THREADS_HELP)
     p_val.set_defaults(func=cmd_validate)
     return parser
 

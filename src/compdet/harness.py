@@ -16,24 +16,27 @@ over the stack, through the same BLAS/LAPACK call per trial as a lone trial
 would make, so the verdicts do not depend on the block size.  draw_trial is
 the same draw and statistics for one trial.  Trials are keyed by stream
 id, so the result is a pure function of (spec, seed) and is identical for
-any thread count or execution order.
+any worker count or execution order.
 
-When run uses one thread, a block that forms no Gram (only mf and mfml)
-and whose trials each draw at least _THREADED_DRAW_MIN normals draws its
-trials on a pool of one thread per core (_draw_block); numpy's fills release
-the interpreter lock, and each trial still draws from its own stream alone.
-Blocks that form a Gram draw serially: after an OpenBLAS call the second
-core stays busy, and threaded draws there measured slower.  With threads > 1
-the chunk workers already fill the cores and draw serially.
+run hands whole blocks to a pool of worker threads (_trial_counts), one per
+core unless its threads argument caps them.  Each worker draws and
+evaluates a block at a time on buffers it keeps across blocks; numpy's
+fills and the BLAS/LAPACK calls release the interpreter lock.  While the
+kernel runs, the process's OpenBLAS libraries are held at one thread
+(_OneBlasThread), so the workers get the cores, and a Cholesky factor's
+bits do not depend on the BLAS thread setting.  Trials that draw fewer
+than _THREADED_DRAW_MIN normals are bound by the interpreter lock and run
+on one worker, as does every run where no OpenBLAS library can be held.
 """
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,14 +62,15 @@ COMPRESSED = ("ml", "mrdd", "rdd")
 MIN_ERRORS_FOR_EXPONENT = 10
 MAX_DISCARD_FRACTION = 1e-3
 _MAX_ATTEMPTS = 64
-_CHUNK = 256  # trials per work item; a multiple of rng._KEY_BLOCK
+_MAX_BLOCK = 256  # most trials per block; a multiple of rng._KEY_BLOCK
 _BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked signal matrices
-# Normals (T * M) one trial must draw for a Gram-free block to draw on
-# threads.  In in-process mf runs on 2 cores, threads lost at T*M <= 2048 and
-# in 2 of 3 runs at 4096, and won from 8192 on (ROADMAP item 2 has the runs).
-_THREADED_DRAW_MIN = 1 << 13
-_DRAW_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
+# Normals (T * M) one trial must draw for a run to use more than one worker.
+# On 2 cores, one worker per core won from 2^12 on, with and without a Gram,
+# and lost at M=8 (T*M = 128), where the interpreter lock binds; at 2^11 it
+# was mixed (scripts/kernel_bench.py --threshold; ROADMAP item 9 has the runs).
+_THREADED_DRAW_MIN = 1 << 12
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -183,77 +187,128 @@ def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _threaded_draw(params, frame) -> bool:
-    """Whether a block's trials may draw on threads: no Gram formed, and large trials."""
-    return frame is None and params.t * params.m >= _THREADED_DRAW_MIN and _DRAW_WORKERS > 1
+def _openblas_controls() -> list:
+    """(get, set) thread-count functions of each OpenBLAS library the process has loaded.
 
-
-def _block_size(m: int, t: int, threaded: bool) -> int:
-    """Trials per block: as many T x M signal matrices as _BLOCK_BYTES holds, at most _CHUNK.
-
-    A threaded block holds at least two trials, so two draw workers have work
-    even where one trial fills the budget; a block then holds at most
-    max(_BLOCK_BYTES, two trials) of signals on any number of cores.
+    numpy's and scipy's wheels each bundle one, exporting
+    scipy_openblas_{get,set}_num_threads (numpy's with a 64_ suffix).  Empty
+    where /proc/self/maps is absent or no loaded library exports them
+    (another OS, or another BLAS).
     """
-    size = max(1, min(_CHUNK, _BLOCK_BYTES // (8 * m * t)))
-    return max(size, 2) if threaded else size
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    controls = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a "(deleted)" file, replaced since it was loaded
+            continue
+        for suffix in ("64_", ""):
+            names = [f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set")]
+            if all(hasattr(lib, name) for name in names):
+                get, put = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+    return controls
 
 
-def _draw_slices(b: int, parts: int) -> list:
-    """Rows 0..b-1 as at most parts contiguous ranges of near-equal length."""
-    bounds = [b * k // parts for k in range(parts + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+class _OneBlasThread:
+    """Holds the process's OpenBLAS libraries at one thread while any holder is inside.
+
+    The first holder to enter saves each library's thread count and sets 1;
+    the last to leave restores the saved counts, also when it leaves on an
+    exception.  The libraries are looked up with find at the first entry,
+    not at import.  Entering gives whether any library is held.
+    """
+
+    def __init__(self, find):
+        self._find = find
+        self._controls = None
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = []
+
+    def __enter__(self) -> bool:
+        with self._lock:
+            if self._controls is None:
+                self._controls = self._find()
+            if not self._holders:
+                self._saved = [get() for get, _ in self._controls]
+                for _, put in self._controls:
+                    put(1)
+            self._holders += 1
+            return bool(self._controls)
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._holders -= 1
+            if not self._holders:
+                for (_, put), count in zip(self._controls, self._saved):
+                    put(count)
 
 
-def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work, pool=None):
+_ONE_BLAS_THREAD = _OneBlasThread(_openblas_controls)
+
+
+def _block_size(m: int, t: int) -> int:
+    """Trials per block: as many T x M signal matrices as _BLOCK_BYTES holds, at most _MAX_BLOCK."""
+    return max(1, min(_MAX_BLOCK, _BLOCK_BYTES // (8 * m * t)))
+
+
+def _worker_count(m: int, t: int, blocks: int, threads: Optional[int]) -> int:
+    """Workers for blocks of T x M trials: one per core, at most threads (if given) and blocks.
+
+    Trials that draw fewer than _THREADED_DRAW_MIN normals get one worker.
+    The signals of the blocks in flight stay within max(_CORES blocks of
+    _BLOCK_BYTES, two trials), however many cores the machine has.
+    """
+    if t * m < _THREADED_DRAW_MIN:
+        return 1
+    trial_bytes = 8 * m * t
+    budget = max(_CORES * _BLOCK_BYTES, 2 * trial_bytes)
+    fits = budget // (_block_size(m, t) * trial_bytes)
+    return max(1, min(_CORES, threads or _CORES, blocks, fits))
+
+
+def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work):
     """(signals, truth, y, v) for a block of trials, all at one attempt.
 
     Each trial draws from its own stream RngStream(seed, trial) in the order
     signals, truth, noise, exactly as it would alone.  With truth None each
     trial draws its truth, uniform on 1..M; else the given array is used.
     work holds the (signals, noise) buffers, with room for len(trials) trials.
-    Given a thread pool, contiguous slices of the trials fill their rows on
-    it; each row still comes from its trial's stream alone, so the arrays are
-    bit-identical to a serial fill.
     """
     b = len(trials)
     signals, noise = (buf[:b] for buf in work)
     draws_truth = truth is None
     truth = np.empty(b, dtype=np.int64) if draws_truth else truth
-    ids = trials.tolist()
-
-    def fill(rows):
-        for i in rows:
-            # RngStream is looked up at call time, so a replaced harness.RngStream
-            # also serves the draw workers.
-            gen = RngStream(seed, ids[i]).generator(attempt)
-            gen.standard_normal(out=signals[i])
-            if draws_truth:
-                truth[i] = gen.integers(1, params.m + 1)
-            gen.standard_normal(out=noise[i])
-
-    if pool is not None and b > 1:
-        # Reading every result raises a worker's exception here.
-        list(pool.map(fill, _draw_slices(b, _DRAW_WORKERS)))
-    else:
-        fill(range(b))
+    for i, trial in enumerate(trials.tolist()):
+        gen = RngStream(seed, trial).generator(attempt)
+        gen.standard_normal(out=signals[i])
+        if draws_truth:
+            truth[i] = gen.integers(1, params.m + 1)
+        gen.standard_normal(out=noise[i])
     signals *= params.energy
     y = signals[np.arange(b), :, truth - 1] + params.sigma * noise
     v = (np.swapaxes(signals, 1, 2) @ y[:, :, None])[:, :, 0]
     return signals, truth, y, v
 
 
-def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work, pool=None):
+def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
     """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
 
-    The trials are drawn by _draw_block, on pool if given.  work holds the
-    (signals, noise, Gram) buffers, with room for at least len(trials)
-    trials.  failed is None, or, when a Gram or compressed covariance is
-    singular, the mask of the trials that failed (and verdicts is empty).
+    The trials are drawn by _draw_block.  work holds the (signals, noise,
+    Gram) buffers, with room for at least len(trials) trials.  failed is
+    None, or, when a Gram or compressed covariance is singular, the mask of
+    the trials that failed (and verdicts is empty).
     """
     dets, b = spec.detectors, len(trials)
     truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
-    signals, truth, _, v = _draw_block(spec.seed, params, trials, attempt, truth, work[:2], pool)
+    signals, truth, _, v = _draw_block(spec.seed, params, trials, attempt, truth, work[:2])
 
     verdicts = {}
     if "mf" in dets:
@@ -311,48 +366,82 @@ def draw_trial(params: ModelParams, stream: RngStream, frame: Optional[frames.Fr
     if not 1 <= truth <= params.m:
         raise DomainError(f"truth index {truth} outside 1..{params.m}")
     work = np.empty((1, params.t, params.m)), np.empty((1, params.t))
-    signals, _, y, v = _draw_block(stream.seed, params, np.array([stream.stream_id]), 0,
-                                   np.array([truth]), work)
-    gram = gram_matrix(signals)
-    u = None if frame is None else frame.apply(cho_solve(gram_cholesky(gram), v))[0]
+    with _ONE_BLAS_THREAD:
+        signals, _, y, v = _draw_block(stream.seed, params, np.array([stream.stream_id]), 0,
+                                       np.array([truth]), work)
+        gram = gram_matrix(signals)
+        u = None if frame is None else frame.apply(cho_solve(gram_cholesky(gram), v))[0]
     return TrialDraw(signals=signals[0], gram=gram[0], truth=truth, y=y[0], v=v[0], u=u)
 
 
-def _trial_counts(spec, params, frame, lo, hi, draw_threads=True):
+def _block_counts(spec, params, frame, trials: np.ndarray, work, counts: dict) -> int:
+    """Adds a block's errors to counts; returns the block's discards.
+
+    A trial whose Gram or covariance is singular is discarded and redrawn
+    from its next attempt's stream; the rest of its block is evaluated again
+    at the same attempt, which replays the same draws.
+    """
+    discards = 0
+    pending = [(trials, 0)]
+    while pending:
+        trials, attempt = pending.pop()
+        if attempt == _MAX_ATTEMPTS:
+            raise NumericalFailure(f"trial {trials[0]} failed {_MAX_ATTEMPTS} redraw attempts")
+        truth, verdicts, failed = _block_verdicts(spec, params, frame, trials, attempt, work)
+        if failed is not None:
+            discards += int(failed.sum())
+            pending.append((trials[failed], attempt + 1))
+            if not failed.all():
+                pending.append((trials[~failed], attempt))
+            continue
+        for name, verdict in verdicts.items():
+            counts[name] += int(np.count_nonzero(verdict != truth))
+    return discards
+
+
+def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
     """Error counts for trials [lo, hi); returns (counts dict, discards).
 
-    Trials run in blocks (_block_verdicts).  A trial whose Gram or covariance
-    is singular is discarded and redrawn from its next attempt's stream; the
-    rest of its block is evaluated again at the same attempt, which replays
-    the same draws.  With draw_threads set, blocks that _threaded_draw allows
-    draw on a pool of _DRAW_WORKERS threads that lives for this call.
+    The trials run in blocks (_block_counts) on _worker_count threads, with
+    the BLAS held at one thread.  Each worker takes the lowest block not yet
+    taken until none is left; once a worker raises, or the wait for them is
+    interrupted, the others take no new block.  Counts are summed as
+    integers, so they do not depend on which worker ran which block.
     """
-    counts = dict.fromkeys(spec.detectors, 0)
-    discards = 0
-    threaded = draw_threads and _threaded_draw(params, frame)
-    size = _block_size(params.m, params.t, threaded)
-    # The block buffers live across blocks.  Freeing megabytes at the end of
-    # every block lets malloc hand them back to the system, and the next block
-    # page-faults them in again: ~400 faults and up to 20% of a trial at M=256.
     t, m = params.t, params.m
-    work = np.empty((size, t, m)), np.empty((size, t)), np.empty((size, m, m))
-    pending = [(np.arange(start, min(start + size, hi)), 0) for start in range(lo, hi, size)]
-    with ThreadPoolExecutor(_DRAW_WORKERS) if threaded else contextlib.nullcontext() as pool:
-        while pending:
-            trials, attempt = pending.pop()
-            if attempt == _MAX_ATTEMPTS:
-                raise NumericalFailure(f"trial {trials[0]} failed {_MAX_ATTEMPTS} redraw attempts")
-            truth, verdicts, failed = _block_verdicts(spec, params, frame, trials, attempt, work,
-                                                      pool)
-            if failed is not None:
-                discards += int(failed.sum())
-                pending.append((trials[failed], attempt + 1))
-                if not failed.all():
-                    pending.append((trials[~failed], attempt))
-                continue
-            for name, verdict in verdicts.items():
-                counts[name] += int(np.count_nonzero(verdict != truth))
-    return counts, discards
+    size = _block_size(m, t)
+    starts = list(range(lo, hi, size))[::-1]  # taken from the end
+    lock = threading.Lock()
+
+    def worker():
+        counts, discards = dict.fromkeys(spec.detectors, 0), 0
+        # The block buffers live across blocks.  Freeing megabytes at the end of
+        # every block lets malloc hand them back to the system, and the next block
+        # page-faults them in again: ~400 faults and up to 20% of a trial at M=256.
+        work = np.empty((size, t, m)), np.empty((size, t)), np.empty((size, m, m))
+        while True:
+            with lock:
+                if not starts:
+                    return counts, discards
+                start = starts.pop()
+            trials = np.arange(start, min(start + size, hi))
+            discards += _block_counts(spec, params, frame, trials, work, counts)
+
+    with _ONE_BLAS_THREAD as held:
+        workers = _worker_count(m, t, len(starts), threads) if held else 1
+        if workers == 1:
+            parts = [worker()]
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(worker) for _ in range(workers)]
+                try:
+                    wait(futures, return_when=FIRST_EXCEPTION)
+                finally:  # after an error or an interrupt, no worker takes a new block
+                    with lock:
+                        starts.clear()
+                parts = [future.result() for future in futures]
+    counts = {name: sum(part[name] for part, _ in parts) for name in spec.detectors}
+    return counts, sum(discards for _, discards in parts)
 
 
 def _theory_for(spec: ExperimentSpec, detector: str, mu: Optional[float]):
@@ -373,32 +462,20 @@ def _theory_for(spec: ExperimentSpec, detector: str, mu: Optional[float]):
     return None, None, None  # mf, rdd: kept for comparison only, no closed forms
 
 
-def run(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """Run the experiment; deterministic for any thread count."""
-    if threads < 1:
+def run(spec: ExperimentSpec, threads: Optional[int] = None) -> ExperimentResult:
+    """Run the experiment; deterministic for any worker count.
+
+    threads caps the worker threads; by default there is one per core
+    (_worker_count says when fewer run).
+    """
+    if threads is not None and threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     params = ModelParams.from_snr(spec.m, spec.t, spec.snr)
     frame = build_frame_for(spec)
     if frame is not None and frame.mu >= 1:
         raise ConfigError(f"frame coherence {frame.mu} leaves columns indistinguishable")
 
-    chunks = [(lo, min(lo + _CHUNK, spec.trials)) for lo in range(0, spec.trials, _CHUNK)]
-    if threads == 1:
-        partials = [_trial_counts(spec, params, frame, lo, hi) for lo, hi in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # The chunk workers fill the cores; each draws its blocks serially.
-            partials = list(
-                pool.map(lambda c: _trial_counts(spec, params, frame, *c, draw_threads=False),
-                         chunks)
-            )
-
-    counts = dict.fromkeys(spec.detectors, 0)
-    discarded = 0
-    for part, disc in partials:
-        discarded += disc
-        for name in counts:
-            counts[name] += part[name]
+    counts, discarded = _trial_counts(spec, params, frame, 0, spec.trials, threads)
     if discarded > MAX_DISCARD_FRACTION * spec.trials:
         raise NumericalFailure(
             f"{discarded} of {spec.trials} trials discarded; ensemble is numerically degenerate"
@@ -462,7 +539,7 @@ def spec_for_axis_value(base: ExperimentSpec, axis: str, value) -> ExperimentSpe
         raise ConfigError(f"axis {axis}={value!r}: {exc}") from exc
 
 
-def sweep(base: ExperimentSpec, axis: str, values, threads: int = 1) -> list:
+def sweep(base: ExperimentSpec, axis: str, values, threads: Optional[int] = None) -> list:
     """One experiment per axis value, all derived from the base spec."""
     specs = [spec_for_axis_value(base, axis, v) for v in values]
     return [run(s, threads=threads) for s in specs]

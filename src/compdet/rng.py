@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-_KEY_BLOCK = 256  # stream ids keyed together; harness chunks align with it
+_KEY_BLOCK = 256  # stream ids keyed together; as many as a harness block holds at most
 _KEY_CACHE_BLOCKS = 16  # blocks in flight: one per worker thread, plus redraws
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).

@@ -20,8 +20,8 @@ END_TO_END = ("throughput_per_s", "op_s", "setup_s", "peak_rss_mb")
 PER_LAYER = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 # Layers the Monte Carlo workloads must see at work: the trace wraps the stream
 # class, numpy's Cholesky and the solve where the harness calls them.  mf_draw
-# forms no Gram, and its draws run on the draw threads, which must resolve the
-# traced stream class too.
+# forms no Gram.  On the M=256 workloads the trials run on worker threads,
+# which must resolve the traced names too.
 STREAM_LAYERS = ("rng.stream_open_us", "rng.draw_us")
 GRAM_LAYERS = ("model.gram_chol_us", "model.compressed_stat_us")
 WORK_LAYERS = {"small_all": STREAM_LAYERS + GRAM_LAYERS, "large_ml": STREAM_LAYERS + GRAM_LAYERS,
