@@ -7,13 +7,16 @@
 The default mode times four configs at worker caps None/1/2/4 (``run``'s
 ``threads``), each measurement in a fresh interpreter that imports compdet
 from one tree's ``src``: M=64 N=21 and M=256 N=85 (kappa = 3, whitened ML),
-M=256 N=255 (kappa = 1) and M=256 ``mf`` with random truth.  The parent and
-this tree alternate, and the side that runs first swaps each round.  The
-cap None calls ``run`` without one, so each tree runs at its default.
+M=256 N=255 (kappa = 1) and M=256 ``mf`` with random truth, which has no
+compressed rule and so times the conditional draw.  The parent and this
+tree alternate, and the side that runs first swaps each round.  The cap
+None calls ``run`` without one, so each tree runs at its default.
 
 --threshold times this tree alone at configs on both sides of
-``harness._THREADED_DRAW_MIN`` normals per trial (T*M), with and without a
-Gram, one worker against one per core with the threshold lowered to 0.
+``harness._THREADED_DRAW_MIN`` numbers drawn per trial, with and without a
+Gram, one worker against one per core with the threshold lowered to 0.  A
+trial with a Gram (``ml,mrdd``) draws T*M normals for its signals; one
+without (``mf,mfml``) draws 2T + 2M numbers from the conditional law.
 
 The results go under one key ("kernel_bench" or "threshold") of the JSON
 file given by --out; its other keys are kept.
@@ -38,17 +41,23 @@ CONFIGS = {
     "m64_n21_k3": (dict(m=64, t=128, n=21, snr=1.0, detectors=("mf", "ml", "mrdd")), 1500),
     "m256_n85_k3": (dict(m=256, t=512, n=85, snr=0.03, detectors=("ml", "mrdd")), 60),
     "m256_n255": (dict(m=256, t=512, n=255, snr=0.03, detectors=("ml", "mrdd")), 200),
-    "m256_mf": (dict(m=256, t=512, snr=0.03, detectors=("mf",), randomize_truth=True), 400),
+    "m256_mf": (dict(m=256, t=512, snr=0.03, detectors=("mf",), randomize_truth=True), 4000),
 }
 THREADS = (None, 1, 2, 4)
-# (M, T, N) and the trials of one measurement: T*M from 2^11 to 2^14 with ml and
-# mrdd, which form a Gram, and from 2^7 to 2^13 with N None and mf and mfml, which do not.
+# (M, T, N) and the trials of one measurement.  Numbers drawn per trial: T*M
+# from 2^11 to 2^14 with ml and mrdd, which form a Gram, and 2T + 2M from 2^7
+# to 2^14 with N None and mf and mfml, which draw conditionally.
 THRESHOLD_CONFIGS = [
     ((16, 128, 5), 3000), ((32, 64, 31), 3000), ((16, 256, 5), 2000), ((32, 128, 31), 2000),
     ((64, 64, 63), 2000), ((32, 256, 31), 1500), ((64, 128, 21), 1500), ((64, 256, 21), 800),
-    ((8, 16, None), 20000), ((16, 128, None), 5000), ((64, 64, None), 5000),
-    ((32, 128, None), 5000), ((64, 128, None), 3000),
+    ((8, 56, None), 20000), ((64, 960, None), 10000), ((256, 1792, None), 10000),
+    ((1024, 1024, None), 10000), ((512, 3584, None), 5000), ((1024, 7168, None), 3000),
 ]
+
+
+def draws(m: int, t: int, n) -> int:
+    """Numbers one trial draws: T*M signals with a Gram, 2T + 2M conditionally without."""
+    return t * m if n is not None else 2 * (t + m)
 
 # One measurement: a short warm-up run, then the timed run; prints ms/trial.
 _MEASURE = """
@@ -116,11 +125,11 @@ def threshold(rounds: int) -> dict:
                         detectors=("mf", "mfml") if n is None else ("ml", "mrdd"))
             for workers in (["one", "per_core"] if r % 2 == 0 else ["per_core", "one"]):
                 ms = measure(ROOT, spec, trials, 1 if workers == "one" else None, lower=True)
-                runs.append({"round": r, "m": m, "t": t, "n": n, "tm": t * m,
+                runs.append({"round": r, "m": m, "t": t, "n": n, "draws": draws(m, t, n),
                              "workers": workers, "us_per_trial": ms * 1e3})
                 print(f"round {r} M={m} T={t} N={n} {workers}: {ms * 1e3:.1f} us/trial",
                       file=sys.stderr)
-    medians = {f"M={m} T={t} N={n} (T*M={t * m})": {w: summary(
+    medians = {f"M={m} T={t} N={n} (draws={draws(m, t, n)})": {w: summary(
         [x["us_per_trial"] for x in runs if (x["m"], x["t"], x["n"], x["workers"]) == (m, t, n, w)])
         for w in ("one", "per_core")} for (m, t, n), _ in THRESHOLD_CONFIGS}
     return {"runs": runs, "medians": medians}

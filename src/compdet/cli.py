@@ -410,7 +410,8 @@ def cmd_validate(args) -> int:
 
 
 THREADS_HELP = ("most worker threads (default: one per core); results do not depend on it, "
-                "and trials that draw fewer than 2^12 normals (T*M) run on one")
+                "and trials that draw fewer than 2^12 numbers (T*M with a compressed rule, "
+                "else 2T+2M) run on one")
 
 
 def _add_common_flags(sub):

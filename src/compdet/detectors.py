@@ -54,13 +54,14 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return mat @ vec if vec.ndim == 1 else (mat @ vec[..., None])[..., 0]
 
 
-def whiten_from_cholesky(frame: Frame, chol_g: np.ndarray) -> WhitenedFrame:
+def whiten_from_cholesky(frame: Frame, chol_g: np.ndarray, which=None) -> WhitenedFrame:
     """Whiten the frame given an existing lower Cholesky factor of G.
 
     Lets a caller that already factored the Gram matrix (e.g. to compute the
     compressed statistic) reuse that factor instead of refactoring.  chol_g
     may be a stack of factors; SingularCovariance is then raised if any
-    trial's covariance is singular.
+    trial's covariance is singular.  which, if given, lists the 0-based
+    frame columns to whiten; the result then holds only those, in that order.
     """
     x = solve_triangular(chol_g, frame.entries.T, lower=True)
     cov = np.swapaxes(x, -1, -2) @ x
@@ -68,7 +69,8 @@ def whiten_from_cholesky(frame: Frame, chol_g: np.ndarray) -> WhitenedFrame:
         chol_c = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("compressed covariance is numerically singular") from exc
-    columns = solve_triangular(chol_c, frame.entries, lower=True)
+    entries = frame.entries if which is None else frame.entries[:, which]
+    columns = solve_triangular(chol_c, entries, lower=True)
     return WhitenedFrame(chol_c=chol_c, columns=columns, col_sqnorm=(columns * columns).sum(axis=-2))
 
 

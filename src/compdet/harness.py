@@ -1,17 +1,23 @@
 """Monte Carlo experiment engine.
 
-Each trial regenerates the full signal ensemble and the noise, so error
-rates average over both (the Gram matrix is random trial to trial).  All
-detectors requested for an experiment are evaluated on the same draws, which
-makes paired comparisons low-variance, and the Gram Cholesky factor is
-computed once per trial and shared.  ML on u whitens the frame against G
-(kappa >= 3); at kappa = 1 the group frame's null space is the all-ones line,
-and ML on u is the matched-filter ML score with that direction projected out
-(detectors.full_group_ml_scores), computed from G without whitening.  u
-itself is formed only when a rule reads it (mrdd, rdd, whitened ML).
+A spec with a compressed rule (ml, mrdd, rdd) draws each trial directly:
+the full signal ensemble and the noise, so error rates average over both
+(the Gram matrix is random trial to trial).  All detectors requested for an
+experiment are evaluated on the same draws, which makes paired comparisons
+low-variance, and the Gram Cholesky factor is computed once per trial and
+shared.  A spec whose rules are only mf and mfml reads no Gram: its trials
+are drawn from the exact law of (truth, v, column energies) given y
+(_draw_conditional), O(T + M) draws instead of T * M.
 
-Trials run in blocks (_block_verdicts): each trial draws from its own
-stream into stacked arrays (_draw_block), and every later step runs once
+ML on u whitens the frame against G (kappa >= 3); at kappa = 1 the group
+frame's null space is the all-ones line, and ML on u is the matched-filter
+ML score with that direction projected out (detectors.full_group_ml_scores),
+computed from G without whitening.  u itself is formed only when a rule
+reads it (mrdd, rdd, whitened ML).
+
+Trials run in blocks (_block_verdicts, _conditional_verdicts): each trial
+draws from its own stream into stacked arrays (_draw_block,
+_draw_conditional), and every later step runs once
 over the stack, through the same BLAS/LAPACK call per trial as a lone trial
 would make, so the verdicts do not depend on the block size.  draw_trial is
 the same draw and statistics for one trial.  Trials are keyed by stream
@@ -25,8 +31,9 @@ fills and the BLAS/LAPACK calls release the interpreter lock.  While the
 kernel runs, the process's OpenBLAS libraries are held at one thread
 (_OneBlasThread), so the workers get the cores, and a Cholesky factor's
 bits do not depend on the BLAS thread setting.  Trials that draw fewer
-than _THREADED_DRAW_MIN normals are bound by the interpreter lock and run
-on one worker, as does every run where no OpenBLAS library can be held.
+than _THREADED_DRAW_MIN numbers (a conditional draw while T + M < 2048)
+are bound by the interpreter lock and run on one worker, as does every run
+where no OpenBLAS library can be held.
 """
 
 from __future__ import annotations
@@ -63,11 +70,12 @@ MIN_ERRORS_FOR_EXPONENT = 10
 MAX_DISCARD_FRACTION = 1e-3
 _MAX_ATTEMPTS = 64
 _MAX_BLOCK = 256  # most trials per block; a multiple of rng._KEY_BLOCK
-_BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked signal matrices
-# Normals (T * M) one trial must draw for a run to use more than one worker.
-# On 2 cores, one worker per core won from 2^12 on, with and without a Gram,
-# and lost at M=8 (T*M = 128), where the interpreter lock binds; at 2^11 it
-# was mixed (scripts/kernel_bench.py --threshold; ROADMAP item 9 has the runs).
+_BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked draws
+# Numbers one trial must draw (T * M, or 2T + 2M conditionally) for a run to
+# use more than one worker.  On 2 cores, one worker per core won from 2^12 on,
+# with and without a Gram, and lost at M=8 (T*M = 128), where the interpreter
+# lock binds; at 2^11 it was mixed (scripts/kernel_bench.py --threshold;
+# ROADMAP item 9 has the runs).
 _THREADED_DRAW_MIN = 1 << 12
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
@@ -254,23 +262,23 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread(_openblas_controls)
 
 
-def _block_size(m: int, t: int) -> int:
-    """Trials per block: as many T x M signal matrices as _BLOCK_BYTES holds, at most _MAX_BLOCK."""
-    return max(1, min(_MAX_BLOCK, _BLOCK_BYTES // (8 * m * t)))
+def _block_size(floats: int) -> int:
+    """Trials per block: as many trials of floats as _BLOCK_BYTES holds, at most _MAX_BLOCK."""
+    return max(1, min(_MAX_BLOCK, _BLOCK_BYTES // (8 * floats)))
 
 
-def _worker_count(m: int, t: int, blocks: int, threads: Optional[int]) -> int:
-    """Workers for blocks of T x M trials: one per core, at most threads (if given) and blocks.
+def _worker_count(floats: int, blocks: int, threads: Optional[int]) -> int:
+    """Workers for blocks of trials of floats: one per core, at most threads (if given) and blocks.
 
-    Trials that draw fewer than _THREADED_DRAW_MIN normals get one worker.
-    The signals of the blocks in flight stay within max(_CORES blocks of
+    Trials that draw fewer than _THREADED_DRAW_MIN numbers get one worker.
+    The draws of the blocks in flight stay within max(_CORES blocks of
     _BLOCK_BYTES, two trials), however many cores the machine has.
     """
-    if t * m < _THREADED_DRAW_MIN:
+    if floats < _THREADED_DRAW_MIN:
         return 1
-    trial_bytes = 8 * m * t
+    trial_bytes = 8 * floats
     budget = max(_CORES * _BLOCK_BYTES, 2 * trial_bytes)
-    fits = budget // (_block_size(m, t) * trial_bytes)
+    fits = budget // (_block_size(floats) * trial_bytes)
     return max(1, min(_CORES, threads or _CORES, blocks, fits))
 
 
@@ -301,10 +309,10 @@ def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work):
 def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
     """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
 
-    The trials are drawn by _draw_block.  work holds the (signals, noise,
-    Gram) buffers, with room for at least len(trials) trials.  failed is
-    None, or, when a Gram or compressed covariance is singular, the mask of
-    the trials that failed (and verdicts is empty).
+    The trials are drawn by _draw_block, and frame is not None.  work holds
+    the (signals, noise, Gram) buffers, with room for at least len(trials)
+    trials.  failed is None, or, when a Gram or compressed covariance is
+    singular, the mask of the trials that failed (and verdicts is empty).
     """
     dets, b = spec.detectors, len(trials)
     truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
@@ -315,8 +323,6 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
         verdicts["mf"] = detect_mf(v)
     if "mfml" in dets:
         verdicts["mfml"] = detect_mfml(v, np.einsum("btm,btm->bm", signals, signals))
-    if frame is None:
-        return truth, verdicts, None
 
     gram = gram_matrix(signals, out=work[2][:b])
     try:
@@ -343,6 +349,65 @@ def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work)
     return truth, verdicts, None
 
 
+def _draw_conditional(seed, params, trials: np.ndarray, attempt: int, truth, energies: bool,
+                      work):
+    """(truth, v, column energies or None) for a block of trials, from their law given y.
+
+    With s_j = E g_j and y = s_k + sigma z, each competitor g_j is independent
+    of y, so v_j = E ||y|| n_j and ||s_j||^2 = E^2 (n_j^2 + X_j), with all
+    n_j ~ N(0, 1) and X_j ~ chi^2_{T-1} independent.  Each trial's stream
+    RngStream(seed, trial) draws its truth (when truth is None), then g_k, z
+    and n in one fill, then X / 2 when energies is set, into the (normals,
+    gammas) buffers of work.  Column truth - 1 is the truth's.
+    """
+    b, m, t = len(trials), params.m, params.t
+    normals, gammas = (buf[:b] for buf in work)
+    draws_truth = truth is None
+    truth = np.empty(b, dtype=np.int64) if draws_truth else truth
+    for i, trial in enumerate(trials.tolist()):
+        gen = RngStream(seed, trial).generator(attempt)
+        if draws_truth:
+            truth[i] = gen.integers(1, m + 1)
+        gen.standard_normal(out=normals[i])
+        if energies:
+            gen.standard_gamma((t - 1) / 2, out=gammas[i])
+    own, y, others = normals[:, :t], normals[:, t:2 * t], normals[:, 2 * t:]
+    own *= params.energy
+    y *= params.sigma
+    y += own
+    competitors = np.ones((b, m), dtype=bool)
+    competitors[np.arange(b), truth - 1] = False
+
+    def columns(own_entry, other_entries):
+        out = np.empty((b, m))
+        out[competitors] = other_entries.ravel()
+        out[~competitors] = own_entry
+        return out
+
+    energy = None
+    if energies:
+        gammas *= 2.0
+        gammas += others * others
+        gammas *= params.energy ** 2
+        energy = columns(np.einsum("bt,bt->b", own, own), gammas)
+    others *= params.energy * np.sqrt(np.einsum("bt,bt->b", y, y))[:, None]
+    return truth, columns(np.einsum("bt,bt->b", own, y), others), energy
+
+
+def _conditional_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
+    """(truth, {detector: verdicts}, None) for a block of mf/mfml trials (_draw_conditional)."""
+    dets, b = spec.detectors, len(trials)
+    truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
+    truth, v, energy = _draw_conditional(spec.seed, params, trials, attempt, truth,
+                                         "mfml" in dets, work)
+    verdicts = {}
+    if "mf" in dets:
+        verdicts["mf"] = detect_mf(v)
+    if "mfml" in dets:
+        verdicts["mfml"] = detect_mfml(v, energy)
+    return truth, verdicts, None
+
+
 @dataclass(frozen=True)
 class TrialDraw:
     """One simulated realization of signals, noise, and statistics."""
@@ -357,9 +422,10 @@ class TrialDraw:
 
 def draw_trial(params: ModelParams, stream: RngStream, frame: Optional[frames.Frame] = None,
                truth: int = 1) -> TrialDraw:
-    """One trial's draws and statistics: trial stream.stream_id of a kernel block at attempt 0.
+    """One trial's draws and statistics: trial stream.stream_id of a direct block at attempt 0.
 
     Every array is bit-identical to that trial's in a block of any size with the same truth.
+    A spec without a compressed rule draws its trials conditionally (_draw_conditional) instead.
     """
     if frame is not None and frame.m != params.m:
         raise DomainError(f"frame has {frame.m} columns but the model has m={params.m}")
@@ -377,17 +443,19 @@ def draw_trial(params: ModelParams, stream: RngStream, frame: Optional[frames.Fr
 def _block_counts(spec, params, frame, trials: np.ndarray, work, counts: dict) -> int:
     """Adds a block's errors to counts; returns the block's discards.
 
+    The block is drawn directly with a frame, and conditionally without one.
     A trial whose Gram or covariance is singular is discarded and redrawn
     from its next attempt's stream; the rest of its block is evaluated again
     at the same attempt, which replays the same draws.
     """
+    kernel = _block_verdicts if frame is not None else _conditional_verdicts
     discards = 0
     pending = [(trials, 0)]
     while pending:
         trials, attempt = pending.pop()
         if attempt == _MAX_ATTEMPTS:
             raise NumericalFailure(f"trial {trials[0]} failed {_MAX_ATTEMPTS} redraw attempts")
-        truth, verdicts, failed = _block_verdicts(spec, params, frame, trials, attempt, work)
+        truth, verdicts, failed = kernel(spec, params, frame, trials, attempt, work)
         if failed is not None:
             discards += int(failed.sum())
             pending.append((trials[failed], attempt + 1))
@@ -402,6 +470,7 @@ def _block_counts(spec, params, frame, trials: np.ndarray, work, counts: dict) -
 def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
     """Error counts for trials [lo, hi); returns (counts dict, discards).
 
+    frame is None for the conditional draw (only mf and mfml may read it).
     The trials run in blocks (_block_counts) on _worker_count threads, with
     the BLAS held at one thread.  Each worker takes the lowest block not yet
     taken until none is left; once a worker raises, or the wait for them is
@@ -409,7 +478,8 @@ def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
     integers, so they do not depend on which worker ran which block.
     """
     t, m = params.t, params.m
-    size = _block_size(m, t)
+    floats = t * m if frame is not None else 2 * (t + m)  # a trial's signals, or conditional draw
+    size = _block_size(floats)
     starts = list(range(lo, hi, size))[::-1]  # taken from the end
     lock = threading.Lock()
 
@@ -418,7 +488,10 @@ def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
         # The block buffers live across blocks.  Freeing megabytes at the end of
         # every block lets malloc hand them back to the system, and the next block
         # page-faults them in again: ~400 faults and up to 20% of a trial at M=256.
-        work = np.empty((size, t, m)), np.empty((size, t)), np.empty((size, m, m))
+        if frame is None:
+            work = np.empty((size, 2 * t + m - 1)), np.empty((size, m - 1))
+        else:
+            work = np.empty((size, t, m)), np.empty((size, t)), np.empty((size, m, m))
         while True:
             with lock:
                 if not starts:
@@ -428,7 +501,7 @@ def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
             discards += _block_counts(spec, params, frame, trials, work, counts)
 
     with _ONE_BLAS_THREAD as held:
-        workers = _worker_count(m, t, len(starts), threads) if held else 1
+        workers = _worker_count(floats, len(starts), threads) if held else 1
         if workers == 1:
             parts = [worker()]
         else:
@@ -475,7 +548,10 @@ def run(spec: ExperimentSpec, threads: Optional[int] = None) -> ExperimentResult
     if frame is not None and frame.mu >= 1:
         raise ConfigError(f"frame coherence {frame.mu} leaves columns indistinguishable")
 
-    counts, discarded = _trial_counts(spec, params, frame, 0, spec.trials, threads)
+    # Only the compressed rules read the Gram; without them the trials are drawn conditionally.
+    direct = any(d in COMPRESSED for d in spec.detectors)
+    counts, discarded = _trial_counts(spec, params, frame if direct else None, 0, spec.trials,
+                                      threads)
     if discarded > MAX_DISCARD_FRACTION * spec.trials:
         raise NumericalFailure(
             f"{discarded} of {spec.trials} trials discarded; ensemble is numerically degenerate"

@@ -95,12 +95,12 @@ def sample_pair_distance2(
 ) -> np.ndarray:
     """Sample the whitened squared column distance over fresh ensembles.
 
-    Each sample draws a new T x M Gaussian signal matrix, whitens the frame
-    with the trial kernel's whiten_from_cholesky, and evaluates the squared
-    whitened column distance, (a_i - a_j)^T C^{-1} (a_i - a_j) with
-    C = A G^{-1} A^T.  Degenerate draws (singular G or C) are redrawn from the
-    same generator; they have probability zero and only occur through
-    floating point accidents.
+    Each sample draws a new T x M Gaussian signal matrix, whitens frame
+    columns i and j (only those) with the trial kernel's whiten_from_cholesky,
+    and evaluates the squared whitened column distance,
+    (a_i - a_j)^T C^{-1} (a_i - a_j) with C = A G^{-1} A^T.  Degenerate draws
+    (singular G or C) are redrawn from the same generator; they have
+    probability zero and only occur through floating point accidents.
     """
     i, j = _check_pair(frame, pair)
     gen = as_generator(rng)
@@ -109,10 +109,11 @@ def sample_pair_distance2(
     while k < n_samples:
         signals = draw_signals(params, gen)
         try:
-            columns = whiten_from_cholesky(frame, gram_cholesky(gram_matrix(signals))).columns
+            chol_g = gram_cholesky(gram_matrix(signals))
+            columns = whiten_from_cholesky(frame, chol_g, [i - 1, j - 1]).columns
         except (SingularGram, SingularCovariance):
             continue
-        d = columns[:, i - 1] - columns[:, j - 1]
+        d = columns[:, 0] - columns[:, 1]
         out[k] = d @ d
         k += 1
     return out

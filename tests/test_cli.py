@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from compdet import cli, gf2m, harness, stats
 
 GOLDEN_HEADER = (
@@ -98,11 +100,18 @@ def test_simulate_csv_schema(tmp_path):
     assert rdd_row["theory_exponent"] == "" and rdd_row["bound_upper"] == ""
 
 
-def test_simulate_bytes_identical_across_threads(tmp_path):
+MF_ONLY_ARGS = [
+    "simulate", "--m", "256", "--t", "512", "--snr", "0.03", "--trials", "300", "--seed", "5",
+    "--detectors", "mf,mfml", "--randomize-truth",
+]
+
+
+@pytest.mark.parametrize("args", [SIM_ARGS, MF_ONLY_ARGS], ids=["all-rules", "mf-only"])
+def test_simulate_bytes_identical_across_threads(tmp_path, args):
     outputs = []
     for threads in ("1", "4", "8"):
         out = tmp_path / f"sim_{threads}.csv"
-        assert run_cli(SIM_ARGS + ["--out", str(out), "--threads", threads]) == 0
+        assert run_cli(args + ["--out", str(out), "--threads", threads]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 

@@ -118,11 +118,11 @@ def test_pair_distance_matches_explicit_inverse_and_redraws(monkeypatch):
     real_whiten = stats.whiten_from_cholesky
     calls = []
 
-    def fail_first(frame_, chol_g):
+    def fail_first(frame_, chol_g, *which):
         calls.append(chol_g)
         if len(calls) == 1:
             raise SingularCovariance("forced")
-        return real_whiten(frame_, chol_g)
+        return real_whiten(frame_, chol_g, *which)
 
     monkeypatch.setattr(stats, "whiten_from_cholesky", fail_first)
     got = stats.sample_pair_distance2(params, frame, (1, 2), 3, RngStream(3, 0))

@@ -4,6 +4,8 @@ run hands whole blocks to one worker per core, with the process's OpenBLAS
 libraries held at one thread.  Each trial must still draw exactly what it
 draws alone, so draw_trial, the per-trial reference loop and every worker
 count give the same bits and counts, and the BLAS setting is left as found.
+The configs form a Gram, so their trials are drawn directly; a spec of only
+mf and mfml draws O(T + M) numbers a trial and runs on one worker.
 """
 
 import collections
@@ -19,10 +21,12 @@ import pytest
 from compdet import harness
 from test_trial_kernel import KAPPA1, _setup, reference_trial_counts
 
-MF_LARGE = dict(m=256, t=512, snr=0.03, detectors=("mf", "mfml"))  # one trial a block
+# mf and mfml beside a compressed rule read the direct draw.
+MF_LARGE = dict(m=256, t=512, n=255, snr=0.03, detectors=("mf", "mfml", "ml"))  # one trial a block
 GRAM_LARGE = dict(m=256, t=512, n=255, snr=0.03, detectors=("ml", "mrdd"))
-MF_ABOVE = dict(m=32, t=129, snr=0.03, detectors=("mf", "mfml"))  # T*M just above the threshold
-MF_BELOW = dict(m=32, t=127, snr=0.03, detectors=("mf", "mfml"))  # T*M just below it
+MF_ABOVE = dict(m=32, t=129, n=31, snr=0.03, detectors=("mf", "mfml", "ml"))  # T*M above the threshold
+MF_BELOW = dict(m=32, t=127, n=31, snr=0.03, detectors=("mf", "mfml", "ml"))  # T*M just below it
+MF_ONLY_LARGE = dict(m=256, t=512, snr=0.03, detectors=("mf", "mfml"))  # the conditional draw
 
 
 @pytest.fixture
@@ -139,7 +143,7 @@ def test_threaded_blocks_match_reference_counts(monkeypatch, config, trials, ran
 @pytest.mark.usefixtures("two_cores")
 def test_only_large_trials_run_on_workers(monkeypatch):
     opened = _pools_opened(monkeypatch)
-    for config in (MF_BELOW, dict(KAPPA1, detectors=harness.DETECTOR_NAMES)):
+    for config in (MF_BELOW, dict(KAPPA1, detectors=harness.DETECTOR_NAMES), MF_ONLY_LARGE):
         harness.run(harness.ExperimentSpec(trials=300, **config))
     assert opened == []
     harness.run(harness.ExperimentSpec(trials=70, **MF_ABOVE))
@@ -154,14 +158,14 @@ def test_signals_in_flight_stay_within_the_budget(monkeypatch, cores):
     monkeypatch.setattr(harness, "_CORES", cores)
     for m, t in ((32, 129), (256, 512), (1024, 2048)):
         trial_bytes = 8 * m * t
-        workers = harness._worker_count(m, t, blocks=10_000, threads=None)
-        held = workers * harness._block_size(m, t) * trial_bytes
+        workers = harness._worker_count(m * t, blocks=10_000, threads=None)
+        held = workers * harness._block_size(m * t) * trial_bytes
         assert 2 <= workers <= cores
         assert held <= max(cores * harness._BLOCK_BYTES, 2 * trial_bytes), (m, t)
-    assert harness._worker_count(1024, 2048, blocks=10_000, threads=None) == min(cores, 4)
-    assert harness._worker_count(256, 512, blocks=10_000, threads=None) == cores
-    assert harness._worker_count(256, 512, blocks=10_000, threads=3) == min(cores, 3)
-    assert harness._worker_count(256, 512, blocks=1, threads=None) == 1
+    assert harness._worker_count(1024 * 2048, blocks=10_000, threads=None) == min(cores, 4)
+    assert harness._worker_count(256 * 512, blocks=10_000, threads=None) == cores
+    assert harness._worker_count(256 * 512, blocks=10_000, threads=3) == min(cores, 3)
+    assert harness._worker_count(256 * 512, blocks=1, threads=None) == 1
 
 
 class _Boom(RuntimeError):

@@ -102,8 +102,8 @@ def test_kernel_matches_reference_for_every_detector_set(config, randomize_truth
 @pytest.mark.parametrize("config", [
     dict(m=64, t=128, n=21, snr=1.0, detectors=("mfml", "ml", "mrdd", "rdd")),  # 16 per block
     dict(m=64, t=64, n=63, snr=0.25, detectors=("mfml", "ml", "mrdd")),  # T = M, 32 per block
-    dict(m=8, t=16, snr=2.0, detectors=("mf", "mfml")),  # no frame, no Gram
-], ids=["m64-kappa3", "m64-beta1", "m8-noframe"])
+    dict(m=32, t=64, n=31, snr=1.0, detectors=("mf", "mfml", "rdd")),  # kappa = 1, 64 per block
+], ids=["m64-kappa3", "m64-beta1", "m32-kappa1"])
 def test_kernel_matches_reference_at_other_block_sizes(config):
     spec = harness.ExperimentSpec(trials=70, seed=3, randomize_truth=True, **config)
     kernel, reference = _both(spec, 3, 70)
