@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Time in-process ``harness.run`` in ms/trial, for a change against its parent.
 
-    python scripts/kernel_bench.py --parent ../parent-checkout --rounds 3 --out BENCH_18.json
-    python scripts/kernel_bench.py --threshold --rounds 4 --out BENCH_18.json
+    python scripts/kernel_bench.py --parent ../parent-checkout --rounds 3 --out BENCH_20.json
+    python scripts/kernel_bench.py --threshold --rounds 4 --out BENCH_20.json
 
 The default mode times four configs at worker caps None/1/2/4 (``run``'s
 ``threads``), each measurement in a fresh interpreter that imports compdet
 from one tree's ``src``: M=64 N=21 and M=256 N=85 (kappa = 3, whitened ML),
-M=256 N=255 (kappa = 1) and M=256 ``mf`` with random truth, which has no
-compressed rule and so times the conditional draw.  The parent and this
-tree alternate, and the side that runs first swaps each round.  The cap
-None calls ``run`` without one, so each tree runs at its default.
+M=256 N=255 (kappa = 1), which draw by Bartlett, and M=256 ``mf`` with
+random truth, which has no compressed rule and so times the conditional
+draw.  The parent and this tree alternate, and the side that runs first
+swaps each round.  The cap None calls ``run`` without one, so each tree runs
+at its default.
 
 --threshold times this tree alone at configs on both sides of
-``harness._THREADED_DRAW_MIN`` numbers drawn per trial, with and without a
-Gram, one worker against one per core with the threshold lowered to 0.  A
-trial with a Gram (``ml,mrdd``) draws T*M normals for its signals; one
-without (``mf,mfml``) draws 2T + 2M numbers from the conditional law.
+``harness._THREADED_DRAW_MIN`` numbers drawn per trial, for both draws of
+``run``, one worker against one per core with the threshold lowered to 0.
+A trial with a compressed rule (``ml,mrdd``) draws M^2 + 2M numbers by
+Bartlett; one without (``mf,mfml``) draws 2T + 2M numbers from the
+conditional law.
 
 The results go under one key ("kernel_bench" or "threshold") of the JSON
 file given by --out; its other keys are kept.
@@ -44,20 +46,21 @@ CONFIGS = {
     "m256_mf": (dict(m=256, t=512, snr=0.03, detectors=("mf",), randomize_truth=True), 4000),
 }
 THREADS = (None, 1, 2, 4)
-# (M, T, N) and the trials of one measurement.  Numbers drawn per trial: T*M
-# from 2^11 to 2^14 with ml and mrdd, which form a Gram, and 2T + 2M from 2^7
-# to 2^14 with N None and mf and mfml, which draw conditionally.
+# (M, T, N) and the trials of one measurement.  Numbers drawn per trial:
+# M^2 + 2M from 288 to 16,640 with ml and mrdd, which draw by Bartlett, and
+# 2T + 2M from 2^7 to 2^14 with N None and mf and mfml, which draw
+# conditionally.
 THRESHOLD_CONFIGS = [
-    ((16, 128, 5), 3000), ((32, 64, 31), 3000), ((16, 256, 5), 2000), ((32, 128, 31), 2000),
-    ((64, 64, 63), 2000), ((32, 256, 31), 1500), ((64, 128, 21), 1500), ((64, 256, 21), 800),
+    ((16, 32, 5), 4000), ((32, 64, 31), 3000), ((64, 128, 63), 2000), ((64, 128, 21), 1500),
+    ((128, 256, 127), 800),
     ((8, 56, None), 20000), ((64, 960, None), 10000), ((256, 1792, None), 10000),
     ((1024, 1024, None), 10000), ((512, 3584, None), 5000), ((1024, 7168, None), 3000),
 ]
 
 
 def draws(m: int, t: int, n) -> int:
-    """Numbers one trial draws: T*M signals with a Gram, 2T + 2M conditionally without."""
-    return t * m if n is not None else 2 * (t + m)
+    """Numbers one trial draws: M^2 + 2M by Bartlett with a frame, 2T + 2M conditionally without."""
+    return m * m + 2 * m if n is not None else 2 * (t + m)
 
 # One measurement: a short warm-up run, then the timed run; prints ms/trial.
 _MEASURE = """

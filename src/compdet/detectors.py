@@ -3,7 +3,7 @@
 ML on the compressed statistic u is computed by whitening in general, and at
 kappa = 1 as a rank-one correction of the matched-filter ML score.
 
-Every rule takes either one trial (v or u 1-D, G and its factor 2-D) and
+Every rule takes either one trial (v, u, G 1 and diag G 1-D, a factor 2-D) and
 returns an int, or a block of trials stacked along a leading axis and returns
 an int array.  Each trial of a block goes through the same BLAS/LAPACK call
 on the same operands as it would alone (matrix-vector products are
@@ -103,7 +103,7 @@ def detect_ml_whitened(wf: WhitenedFrame, u: np.ndarray) -> int | np.ndarray:
     return _verdicts(scores)
 
 
-def full_group_ml_scores(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def full_group_ml_scores(v: np.ndarray, g: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """ML scores on u = A G^{-1} v for a frame whose null space is the all-ones line.
 
     Precondition: N = M - 1 and A 1 = 0, which every group frame at kappa = 1
@@ -113,18 +113,18 @@ def full_group_ml_scores(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
         (v_k - G_kk / 2) - (g_k / q) (1^T v - g_k / 2),
 
-    the detect_mfml score with the all-ones direction projected out: O(M^2)
-    from G, with no N x N covariance, Cholesky or triangular solve.
+    the detect_mfml score with the all-ones direction projected out.  It
+    reads g = G 1 and diag G, O(M) numbers that a caller gets in O(M^2) from
+    G or from a factor of it, with no N x N covariance, Cholesky or
+    triangular solve.
     """
-    g = gram.sum(axis=-1)
     q = g.sum(axis=-1, keepdims=True)
-    diag = np.diagonal(gram, axis1=-2, axis2=-1)
     return (v - 0.5 * diag) - (g / q) * (v.sum(axis=-1, keepdims=True) - 0.5 * g)
 
 
-def detect_ml_full_group(v: np.ndarray, gram: np.ndarray) -> int | np.ndarray:
-    """ML verdict on u at kappa = 1 (see full_group_ml_scores), from v and G."""
-    return _verdicts(full_group_ml_scores(v, gram))
+def detect_ml_full_group(v: np.ndarray, g: np.ndarray, diag: np.ndarray) -> int | np.ndarray:
+    """ML verdict on u at kappa = 1 (see full_group_ml_scores), from v, G 1 and diag G."""
+    return _verdicts(full_group_ml_scores(v, g, diag))
 
 
 def detect_mrdd(frame: Frame, u: np.ndarray) -> int | np.ndarray:

@@ -1,37 +1,42 @@
 """Monte Carlo experiment engine.
 
-A spec with a compressed rule (ml, mrdd, rdd) draws each trial directly:
-the full signal ensemble and the noise, so error rates average over both
-(the Gram matrix is random trial to trial).  All detectors requested for an
-experiment are evaluated on the same draws, which makes paired comparisons
-low-variance, and the Gram Cholesky factor is computed once per trial and
-shared.  A spec whose rules are only mf and mfml reads no Gram: its trials
-are drawn from the exact law of (truth, v, column energies) given y
-(_draw_conditional), O(T + M) draws instead of T * M.
+A trial is drawn by one of three stages.  run uses two of them, picked from
+the rule set; all detectors requested for an experiment are evaluated on the
+same draws, which makes paired comparisons low-variance.
 
-ML on u whitens the frame against G (kappa >= 3); at kappa = 1 the group
-frame's null space is the all-ones line, and ML on u is the matched-filter
-ML score with that direction projected out (detectors.full_group_ml_scores),
-computed from G without whitening.  u itself is formed only when a rule
-reads it (mrdd, rdd, whitened ML).
+* Bartlett (_draw_bartlett), for every spec with a compressed rule (ml, mrdd,
+  rdd).  Every rule reads only (G, v), so a trial draws the lower Cholesky
+  factor C of G ~ W_M(T, E^2 I) directly (Bartlett 1933; Muirhead, Aspects
+  of Multivariate Statistical Theory, 1982, section 3.2), and v given C:
+  O(M^2) numbers, no signal matrix, no Gram matmul and no Cholesky.  Error
+  rates average over the random G, as with the direct draw.
+* Conditional (_draw_conditional), for a spec whose rules are only mf and
+  mfml: the exact law of (truth, v, column energies) given y, O(T + M) draws.
+* Direct (draw_trial): the T x M signal matrix and the noise of one trial,
+  the reference sampler the other two are gated against in the tests.
+
+ML on u whitens the frame against G (kappa >= 3), from C, which is G's
+Cholesky factor; at kappa = 1 the group frame's null space is the all-ones
+line, and ML on u is the matched-filter ML score with that direction
+projected out (detectors.full_group_ml_scores), computed from G 1, 1^T G 1
+and diag G without whitening.  u itself is formed only when a rule reads it
+(mrdd, rdd, whitened ML).
 
 Trials run in blocks (_block_verdicts, _conditional_verdicts): each trial
-draws from its own stream into stacked arrays (_draw_block,
-_draw_conditional), and every later step runs once
-over the stack, through the same BLAS/LAPACK call per trial as a lone trial
-would make, so the verdicts do not depend on the block size.  draw_trial is
-the same draw and statistics for one trial.  Trials are keyed by stream
-id, so the result is a pure function of (spec, seed) and is identical for
-any worker count or execution order.
+draws from its own stream into stacked arrays, and every later step runs
+once over the stack, through the same BLAS/LAPACK call per trial as a lone
+trial would make, so the verdicts do not depend on the block size.  Trials
+are keyed by stream id, so the result is a pure function of (spec, seed) and
+is identical for any worker count or execution order.
 
 run hands whole blocks to a pool of worker threads (_trial_counts), one per
 core unless its threads argument caps them.  Each worker draws and
 evaluates a block at a time on buffers it keeps across blocks; numpy's
 fills and the BLAS/LAPACK calls release the interpreter lock.  While the
 kernel runs, the process's OpenBLAS libraries are held at one thread
-(_OneBlasThread), so the workers get the cores, and a Cholesky factor's
-bits do not depend on the BLAS thread setting.  Trials that draw fewer
-than _THREADED_DRAW_MIN numbers (a conditional draw while T + M < 2048)
+(_OneBlasThread), so the workers get the cores, and a factor's bits do not
+depend on the BLAS thread setting.  Trials that draw fewer than
+_THREADED_DRAW_MIN numbers (M^2 + 2M for Bartlett, 2T + 2M conditionally)
 are bound by the interpreter lock and run on one worker, as does every run
 where no OpenBLAS library can be held.
 """
@@ -55,7 +60,7 @@ from .detectors import (
     detect_mf, detect_mfml, detect_ml_full_group, detect_ml_whitened, detect_mrdd, detect_rdd,
     whiten_from_cholesky,
 )
-from .errors import ConfigError, DomainError, NumericalFailure, SingularCovariance, SingularGram
+from .errors import ConfigError, DomainError, NumericalFailure, SingularCovariance
 from .model import ModelParams, gram_cholesky, gram_matrix
 from .rng import RngStream
 from .stats import clopper_pearson
@@ -71,11 +76,10 @@ MAX_DISCARD_FRACTION = 1e-3
 _MAX_ATTEMPTS = 64
 _MAX_BLOCK = 256  # most trials per block; a multiple of rng._KEY_BLOCK
 _BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked draws
-# Numbers one trial must draw (T * M, or 2T + 2M conditionally) for a run to
-# use more than one worker.  On 2 cores, one worker per core won from 2^12 on,
-# with and without a Gram, and lost at M=8 (T*M = 128), where the interpreter
-# lock binds; at 2^11 it was mixed (scripts/kernel_bench.py --threshold;
-# ROADMAP item 9 has the runs).
+# Numbers one trial must draw (M^2 + 2M for Bartlett, 2T + 2M conditionally)
+# for a run to use more than one worker.  On 2 cores, one worker per core won
+# from 2^12 on and lost at M=8, where the interpreter lock binds
+# (scripts/kernel_bench.py --threshold; ROADMAP item 9 has the runs).
 _THREADED_DRAW_MIN = 1 << 12
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
@@ -185,11 +189,14 @@ def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """G^{-1} v for each trial of a block, from the lower Cholesky factors of G.
 
     LAPACK potrs per trial, the routine scipy.linalg.cho_solve calls, without
-    its argument checks; the result is bit-identical to cho_solve's.
+    its argument checks.  potrs is handed each factor's transpose, an upper
+    factor already in Fortran order, which spares f2py a copy of every
+    factor (~170 us at M=256); the result agrees with cho_solve's to
+    rounding, not bit for bit.
     """
     out = np.empty_like(rhs)
     for i, (factor, vec) in enumerate(zip(chol, rhs)):
-        out[i], info = dpotrs(factor, vec, lower=1)
+        out[i], info = dpotrs(factor.T, vec, lower=0)
         if info:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     return out
@@ -282,64 +289,90 @@ def _worker_count(floats: int, blocks: int, threads: Optional[int]) -> int:
     return max(1, min(_CORES, threads or _CORES, blocks, fits))
 
 
-def _draw_block(seed, params, trials: np.ndarray, attempt: int, truth, work):
-    """(signals, truth, y, v) for a block of trials, all at one attempt.
+def _bartlett_work(size: int, params: ModelParams) -> tuple:
+    """_draw_bartlett's buffers for blocks of up to size trials, and its two triangle masks."""
+    m = params.m
+    return (np.empty((size, m * m + m)), np.empty((size, m)), np.empty((size, m, m)),
+            np.triu(np.ones((m, m)), 1), params.energy * np.tri(m, k=-1))
 
-    Each trial draws from its own stream RngStream(seed, trial) in the order
-    signals, truth, noise, exactly as it would alone.  With truth None each
-    trial draws its truth, uniform on 1..M; else the given array is used.
-    work holds the (signals, noise) buffers, with room for len(trials) trials.
+
+def _draw_bartlett(seed, params, trials: np.ndarray, attempt: int, truth, work):
+    """(truth, C, v) for a block of trials, all at one attempt, with G = C C^T.
+
+    C is the lower Cholesky factor of G ~ W_M(T, E^2 I): C = E L, with L_ij ~
+    N(0, 1) below the diagonal and L_ii^2 ~ chi^2_{T-i+1} (1-based), all
+    independent (Bartlett's decomposition).  Given S, S^T z ~ N(0, G), the
+    law of C w with w ~ N(0, I_M), so v = G e_k + sigma S^T z has the law of
+    C (C^T e_k + sigma w), where C^T e_k is row k of C.  Each trial's stream
+    RngStream(seed, trial) draws its truth (when truth is None), then an
+    M x M normal matrix Z (row-major) and w in one fill, then M gamma
+    variates X of shape (T - M + 1) / 2.  L's strict lower triangle is Z's;
+    row i of Z's strict upper triangle holds M - i normals, so
+    L_ii^2 = 2 X_i + sum_{j>i} Z_ij^2 is chi^2_{T-M+1} + chi^2_{M-i}.  A
+    scalar gamma shape keeps the fill cheap at small M.  work is
+    _bartlett_work's, with room for len(trials) trials; C is a view of it.
     """
-    b = len(trials)
-    signals, noise = (buf[:b] for buf in work)
+    b, m = len(trials), params.m
+    normals, gammas, squares, upper, lower = work
+    normals, gammas, squares = normals[:b], gammas[:b], squares[:b]
     draws_truth = truth is None
     truth = np.empty(b, dtype=np.int64) if draws_truth else truth
+    shape = (params.t - m + 1) / 2
     for i, trial in enumerate(trials.tolist()):
         gen = RngStream(seed, trial).generator(attempt)
-        gen.standard_normal(out=signals[i])
         if draws_truth:
-            truth[i] = gen.integers(1, params.m + 1)
-        gen.standard_normal(out=noise[i])
-    signals *= params.energy
-    y = signals[np.arange(b), :, truth - 1] + params.sigma * noise
-    v = (np.swapaxes(signals, 1, 2) @ y[:, :, None])[:, :, 0]
-    return signals, truth, y, v
+            truth[i] = gen.integers(1, m + 1)
+        gen.standard_normal(out=normals[i])
+        gen.standard_gamma(shape, out=gammas[i])
+    chol, w = normals[:, :m * m].reshape(b, m, m), normals[:, m * m:]
+    np.multiply(chol, chol, out=squares)
+    squares *= upper
+    gammas *= 2.0
+    gammas += squares.sum(axis=-1)
+    chol *= lower
+    normals[:, :m * m:m + 1] = params.energy * np.sqrt(gammas)  # C's diagonal
+    x = chol[np.arange(b), truth - 1]
+    w *= params.sigma
+    x += w
+    return truth, chol, (chol @ x[:, :, None])[:, :, 0]
 
 
 def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
     """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
 
-    The trials are drawn by _draw_block, and frame is not None.  work holds
-    the (signals, noise, Gram) buffers, with room for at least len(trials)
-    trials.  failed is None, or, when a Gram or compressed covariance is
-    singular, the mask of the trials that failed (and verdicts is empty).
+    The trials are drawn by _draw_bartlett, and frame is not None.  work is
+    _bartlett_work's, with room for at least len(trials) trials.  failed is
+    None, or the mask of the trials that failed (and verdicts is empty): a
+    factor with a zero or non-finite diagonal (a singular Gram), or, for
+    whitened ML, a singular compressed covariance.
     """
     dets, b = spec.detectors, len(trials)
     truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
-    signals, truth, _, v = _draw_block(spec.seed, params, trials, attempt, truth, work[:2])
+    truth, chol, v = _draw_bartlett(spec.seed, params, trials, attempt, truth, work)
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    singular = ~((diag > 0) & (diag < np.inf)).all(axis=-1)
+    if singular.any():
+        return truth, {}, singular
 
     verdicts = {}
     if "mf" in dets:
         verdicts["mf"] = detect_mf(v)
-    if "mfml" in dets:
-        verdicts["mfml"] = detect_mfml(v, np.einsum("btm,btm->bm", signals, signals))
-
-    gram = gram_matrix(signals, out=work[2][:b])
-    try:
-        chol_g = gram_cholesky(gram)
-    except SingularGram:
-        return truth, {}, _failures(gram_cholesky, gram, SingularGram)
     whitened = "ml" in dets and frame.kappa != 1
+    if "mfml" in dets or ("ml" in dets and not whitened):
+        energy = np.einsum("bij,bij->bi", chol, chol)  # diag G: C's squared row norms
+    if "mfml" in dets:
+        verdicts["mfml"] = detect_mfml(v, energy)
     if "ml" in dets and not whitened:
-        verdicts["ml"] = detect_ml_full_group(v, gram)
+        g = (chol @ chol.sum(axis=-2)[:, :, None])[:, :, 0]  # G 1 = C (C^T 1)
+        verdicts["ml"] = detect_ml_full_group(v, g, energy)
     if whitened:
         try:
-            wf = whiten_from_cholesky(frame, chol_g)
+            wf = whiten_from_cholesky(frame, chol)
         except SingularCovariance:
-            failed = _failures(lambda c: whiten_from_cholesky(frame, c), chol_g, SingularCovariance)
+            failed = _failures(lambda c: whiten_from_cholesky(frame, c), chol, SingularCovariance)
             return truth, {}, failed
     if whitened or "mrdd" in dets or "rdd" in dets:
-        u = frame.apply(cho_solve(chol_g, v))
+        u = frame.apply(cho_solve(chol, v))
         if whitened:
             verdicts["ml"] = detect_ml_whitened(wf, u)
         if "mrdd" in dets:
@@ -422,29 +455,32 @@ class TrialDraw:
 
 def draw_trial(params: ModelParams, stream: RngStream, frame: Optional[frames.Frame] = None,
                truth: int = 1) -> TrialDraw:
-    """One trial's draws and statistics: trial stream.stream_id of a direct block at attempt 0.
+    """One trial drawn directly from stream.generator(0): the reference sampler.
 
-    Every array is bit-identical to that trial's in a block of any size with the same truth.
-    A spec without a compressed rule draws its trials conditionally (_draw_conditional) instead.
+    Draws the T x M signals S, then the noise z, and forms y = s_truth +
+    sigma z, v = S^T y, G = S^T S and, with a frame, u = A G^{-1} v.  run
+    draws its trials by the Bartlett or the conditional stage instead, whose
+    laws are this draw's but whose numbers differ.
     """
     if frame is not None and frame.m != params.m:
         raise DomainError(f"frame has {frame.m} columns but the model has m={params.m}")
     if not 1 <= truth <= params.m:
         raise DomainError(f"truth index {truth} outside 1..{params.m}")
-    work = np.empty((1, params.t, params.m)), np.empty((1, params.t))
+    gen = stream.generator()
+    signals = params.energy * gen.standard_normal((params.t, params.m))
+    y = signals[:, truth - 1] + params.sigma * gen.standard_normal(params.t)
+    v = signals.T @ y
     with _ONE_BLAS_THREAD:
-        signals, _, y, v = _draw_block(stream.seed, params, np.array([stream.stream_id]), 0,
-                                       np.array([truth]), work)
         gram = gram_matrix(signals)
-        u = None if frame is None else frame.apply(cho_solve(gram_cholesky(gram), v))[0]
-    return TrialDraw(signals=signals[0], gram=gram[0], truth=truth, y=y[0], v=v[0], u=u)
+        u = None if frame is None else frame.apply(cho_solve(gram_cholesky(gram)[None], v[None]))[0]
+    return TrialDraw(signals=signals, gram=gram, truth=truth, y=y, v=v, u=u)
 
 
 def _block_counts(spec, params, frame, trials: np.ndarray, work, counts: dict) -> int:
     """Adds a block's errors to counts; returns the block's discards.
 
-    The block is drawn directly with a frame, and conditionally without one.
-    A trial whose Gram or covariance is singular is discarded and redrawn
+    The block is drawn by Bartlett with a frame, and conditionally without
+    one.  A trial whose Gram or covariance is singular is discarded and redrawn
     from its next attempt's stream; the rest of its block is evaluated again
     at the same attempt, which replays the same draws.
     """
@@ -478,7 +514,7 @@ def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
     integers, so they do not depend on which worker ran which block.
     """
     t, m = params.t, params.m
-    floats = t * m if frame is not None else 2 * (t + m)  # a trial's signals, or conditional draw
+    floats = m * m + 2 * m if frame is not None else 2 * (t + m)  # a Bartlett or conditional draw
     size = _block_size(floats)
     starts = list(range(lo, hi, size))[::-1]  # taken from the end
     lock = threading.Lock()
@@ -491,7 +527,7 @@ def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
         if frame is None:
             work = np.empty((size, 2 * t + m - 1)), np.empty((size, m - 1))
         else:
-            work = np.empty((size, t, m)), np.empty((size, t)), np.empty((size, m, m))
+            work = _bartlett_work(size, params)
         while True:
             with lock:
                 if not starts:
@@ -548,9 +584,10 @@ def run(spec: ExperimentSpec, threads: Optional[int] = None) -> ExperimentResult
     if frame is not None and frame.mu >= 1:
         raise ConfigError(f"frame coherence {frame.mu} leaves columns indistinguishable")
 
-    # Only the compressed rules read the Gram; without them the trials are drawn conditionally.
-    direct = any(d in COMPRESSED for d in spec.detectors)
-    counts, discarded = _trial_counts(spec, params, frame if direct else None, 0, spec.trials,
+    # Only the compressed rules read G; with them the trials are drawn by Bartlett, and
+    # without them conditionally.
+    compressed = any(d in COMPRESSED for d in spec.detectors)
+    counts, discarded = _trial_counts(spec, params, frame if compressed else None, 0, spec.trials,
                                       threads)
     if discarded > MAX_DISCARD_FRACTION * spec.trials:
         raise NumericalFailure(

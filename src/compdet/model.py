@@ -1,9 +1,10 @@
 """Random signal ensembles, their Gram matrix, and the dual signals.
 
 A trial's signals are a T x M matrix S of i.i.d. Gaussian samples, and its
-Gram matrix G = S^T S enters every statistic the detectors read.  The trial
-pipeline itself (noise, y = s_truth + z, v = S^T y and u = A G^{-1} v) is
-harness.draw_trial and the harness's block kernel.
+Gram matrix G = S^T S enters every statistic the detectors read.  The direct
+draw of one trial (noise, y = s_truth + z, v = S^T y and u = A G^{-1} v) is
+harness.draw_trial; the harness's block kernel draws G's Cholesky factor and
+v without S.
 
 All hypothesis indices in the public API are 1-based; internally they map to
 0-based columns of S.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -78,9 +79,9 @@ def draw_signals(params: ModelParams, rng: RngLike) -> np.ndarray:
     return params.energy * gen.standard_normal((params.t, params.m))
 
 
-def gram_matrix(signals: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def gram_matrix(signals: np.ndarray) -> np.ndarray:
     """G = S^T S, for one T x M signal matrix or one per matrix of a stack."""
-    return np.matmul(np.swapaxes(signals, -1, -2), signals, out=out)
+    return np.swapaxes(signals, -1, -2) @ signals
 
 
 def gram_cholesky(gram: np.ndarray) -> np.ndarray:

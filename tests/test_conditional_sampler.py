@@ -2,9 +2,11 @@
 
 A spec whose rules are only mf and mfml draws each trial from the exact law
 of (truth, v, column energies) given y.  Its error rates must match those of
-the direct draw, which mf and mfml read whenever a compressed rule is
-requested beside them.  Each gate is a pooled two-proportion z-test at a
-two-sided level of 1e-3, with the trial counts and seeds fixed here.
+the direct draw, one trial at a time
+(test_trial_kernel.reference_trial_counts).  Each gate is a pooled
+two-proportion z-test at a two-sided level of 1e-3, with the trial counts
+and seeds fixed here.  test_bartlett_sampler.py gates the Bartlett draw
+against the same direct runs.
 """
 
 import dataclasses
@@ -15,8 +17,14 @@ import pytest
 
 from compdet import harness
 from compdet.model import ModelParams
+from test_trial_kernel import direct_counts
 
 LEVEL = 1e-3
+# The direct runs both gates read; every rule of a run reads the same draws.
+DIRECT_M8 = dict(m=8, t=16, n=7, snr=2.0, trials=200_000, detectors=harness.DETECTOR_NAMES,
+                 seed=1902)
+DIRECT_M256 = dict(m=256, t=512, n=255, snr=0.03, trials=2_000, detectors=("mf", "ml", "mrdd"),
+                   seed=1904, randomize_truth=True)
 
 
 def _two_sided_p(errors_a, trials_a, errors_b, trials_b):
@@ -32,18 +40,14 @@ def _errors(spec):
 
 
 @pytest.mark.parametrize("conditional,direct,rules", [
-    (dict(m=8, t=16, snr=2.0, trials=200_000, detectors=("mf", "mfml"), seed=1901),
-     dict(m=8, t=16, n=7, snr=2.0, trials=200_000, detectors=("mf", "mfml", "mrdd"), seed=1902),
+    (dict(m=8, t=16, snr=2.0, trials=200_000, detectors=("mf", "mfml"), seed=1901), DIRECT_M8,
      ("mf", "mfml")),
     (dict(m=256, t=512, snr=0.03, trials=40_000, detectors=("mf",), seed=1903,
-          randomize_truth=True),
-     dict(m=256, t=512, n=255, snr=0.03, trials=2_000, detectors=("mf", "ml"), seed=1904,
-          randomize_truth=True),
-     ("mf",)),
+          randomize_truth=True), DIRECT_M256, ("mf",)),
 ], ids=["m8", "m256"])
 def test_conditional_rates_match_the_direct_draw(conditional, direct, rules):
     cond, dire = harness.ExperimentSpec(**conditional), harness.ExperimentSpec(**direct)
-    cond_errors, direct_errors = _errors(cond), _errors(dire)
+    cond_errors, (direct_errors, _) = _errors(cond), direct_counts(dire)
     for rule in rules:
         p = _two_sided_p(cond_errors[rule], cond.trials, direct_errors[rule], dire.trials)
         assert p >= LEVEL, (rule, cond_errors[rule], direct_errors[rule], p)

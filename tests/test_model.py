@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from compdet import frames, gf2m, harness, model
 from compdet.errors import DomainError, SingularGram
@@ -92,22 +93,21 @@ def test_receive_rejects_bad_truth():
 
 
 class _FixedDraws:
-    """Generator stand-in: successive standard_normal(out=...) calls copy the given arrays."""
+    """Generator stand-in: successive standard_normal calls return the given arrays."""
 
     def __init__(self, *arrays):
         self._arrays = iter(arrays)
 
-    def standard_normal(self, out):
-        out[...] = next(self._arrays)
+    def standard_normal(self, size=None):
+        return next(self._arrays)
 
 
-def test_matched_filter_orthogonal_fixture(monkeypatch):
-    # The kernel's streams draw an orthogonal ensemble and no noise.
+def test_matched_filter_orthogonal_fixture():
+    # The stream draws an orthogonal ensemble and no noise.
     s = np.zeros((6, 3))
     s[0, 0], s[2, 1], s[4, 2] = 2.0, 1.0, 1.0
-    stream = SimpleNamespace(generator=lambda attempt: _FixedDraws(s, np.zeros(6)))
-    monkeypatch.setattr(harness, "RngStream", lambda seed, trial: stream)
-    trial = harness.draw_trial(ModelParams(m=3, t=6), RngStream(0, 0))
+    stream = SimpleNamespace(generator=lambda attempt=0: _FixedDraws(s, np.zeros(6)))
+    trial = harness.draw_trial(ModelParams(m=3, t=6), stream)
     np.testing.assert_allclose(trial.v, [4.0, 0.0, 0.0])
 
 
@@ -184,6 +184,26 @@ def test_approx_statistic_conditional_covariance():
     exact = p.sigma**2 * frame.entries @ np.linalg.solve(g, frame.entries.T)
     rel = np.linalg.norm(sample_cov - exact) / np.linalg.norm(exact)
     assert rel < 0.15
+
+
+@pytest.mark.parametrize("m,t", [(8, 16), (16, 16), (256, 512)])
+def test_cho_solve_matches_scipy(m, t):
+    # harness.cho_solve hands potrs the transposed (upper) factor; it agrees
+    # with scipy's cho_solve on the lower factor to rounding, for a stack and
+    # for draw_trial's u.
+    p = params_snr(m=m, t=t)
+    grams = np.array([model.gram_matrix(model.draw_signals(p, RngStream(19, k))) for k in range(3)])
+    chol = model.gram_cholesky(grams)
+    rhs = np.array([RngStream(20, k).generator().standard_normal(m) for k in range(3)])
+    got = harness.cho_solve(chol, rhs)
+    for g, c, b, x in zip(grams, chol, rhs, got):
+        want = scipy.linalg.cho_solve((c, True), b)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(g @ x, b, rtol=0, atol=1e-8 * np.abs(b).max())
+    frame = frames.build_group_hadamard(gf2m.FieldCtx.standard(m.bit_length() - 1), m - 1)
+    trial = harness.draw_trial(p, RngStream(21, 0), frame=frame)
+    want = frame.apply(scipy.linalg.cho_solve((np.linalg.cholesky(trial.gram), True), trial.v))
+    assert np.abs(trial.u - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_approx_statistic_square_frame_roundtrip():

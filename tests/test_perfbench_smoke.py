@@ -4,8 +4,10 @@ A run whose child crashes prints no result line, so the benchmark cannot be
 scored at all; these runs catch that before a full-length one would.  A
 traced run must also report every per-layer metric BENCHMARK.json declares:
 the trace wraps program names, and a name the program no longer has drops
-its metric from the result, and on the Monte Carlo workloads the stream,
-Gram-factor and solve layers must read above zero.
+its metric from the result, and on the Monte Carlo workloads the stream
+and solve layers must read above zero.  The Monte Carlo workloads draw the
+Gram's factor directly and factor no Gram, so the Gram-factor layer must
+read exactly zero there.
 """
 
 import json
@@ -19,12 +21,13 @@ ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("throughput_per_s", "op_s", "setup_s", "peak_rss_mb")
 PER_LAYER = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 # Layers the Monte Carlo workloads must see at work: the trace wraps the stream
-# class, numpy's Cholesky and the solve where the harness calls them.  mf_draw
-# forms no Gram.  On the M=256 workloads the trials run on worker threads,
-# which must resolve the traced names too.
+# class and the solve where the harness calls them.  mf_draw forms no u.  On
+# the M=256 workloads the trials run on worker threads, which must resolve the
+# traced names too.  The trace also wraps numpy's Cholesky, which no longer
+# factors a Gram on any workload.
 STREAM_LAYERS = ("rng.stream_open_us", "rng.draw_us")
-GRAM_LAYERS = ("model.gram_chol_us", "model.compressed_stat_us")
-WORK_LAYERS = {"small_all": STREAM_LAYERS + GRAM_LAYERS, "large_ml": STREAM_LAYERS + GRAM_LAYERS,
+WORK_LAYERS = {"small_all": STREAM_LAYERS + ("model.compressed_stat_us",),
+               "large_ml": STREAM_LAYERS + ("model.compressed_stat_us",),
                "mf_draw": STREAM_LAYERS}
 
 
@@ -50,3 +53,5 @@ def test_bench_run_ends_in_passing_result_line(workload, trace):
         assert set(result["metrics"]) == PER_LAYER
         for name in WORK_LAYERS.get(workload, ()):
             assert result["metrics"][name]["value"] > 0, name
+        if workload in ("small_all", "large_ml"):
+            assert result["metrics"]["model.gram_chol_us"]["value"] == 0

@@ -1,11 +1,12 @@
-"""Blocks run on worker threads against the lone-trial draw and the reference loop.
+"""Blocks run on worker threads against lone trials and the reference loop.
 
 run hands whole blocks to one worker per core, with the process's OpenBLAS
 libraries held at one thread.  Each trial must still draw exactly what it
-draws alone, so draw_trial, the per-trial reference loop and every worker
-count give the same bits and counts, and the BLAS setting is left as found.
-The configs form a Gram, so their trials are drawn directly; a spec of only
-mf and mfml draws O(T + M) numbers a trial and runs on one worker.
+draws alone, so a one-trial block, the per-trial reference loop and every
+worker count give the same bits and counts, and the BLAS setting is left as
+found.  The configs have a compressed rule, so their trials are drawn by
+Bartlett (M^2 + 2M numbers); a spec of only mf and mfml draws O(T + M)
+numbers a trial and runs on one worker.
 """
 
 import collections
@@ -19,13 +20,14 @@ import numpy as np
 import pytest
 
 from compdet import harness
-from test_trial_kernel import KAPPA1, _setup, reference_trial_counts
+from test_trial_kernel import KAPPA1, _setup, bartlett_reference_counts
 
-# mf and mfml beside a compressed rule read the direct draw.
+# mf and mfml beside a compressed rule read the Bartlett draw.
 MF_LARGE = dict(m=256, t=512, n=255, snr=0.03, detectors=("mf", "mfml", "ml"))  # one trial a block
 GRAM_LARGE = dict(m=256, t=512, n=255, snr=0.03, detectors=("ml", "mrdd"))
-MF_ABOVE = dict(m=32, t=129, n=31, snr=0.03, detectors=("mf", "mfml", "ml"))  # T*M above the threshold
-MF_BELOW = dict(m=32, t=127, n=31, snr=0.03, detectors=("mf", "mfml", "ml"))  # T*M just below it
+# M^2 + 2M numbers drawn a trial: 4,224 above the threshold, 1,088 below it.
+MF_ABOVE = dict(m=64, t=128, n=63, snr=0.03, detectors=("mf", "mfml", "ml"))
+MF_BELOW = dict(m=32, t=64, n=31, snr=0.03, detectors=("mf", "mfml", "ml"))
 MF_ONLY_LARGE = dict(m=256, t=512, snr=0.03, detectors=("mf", "mfml"))  # the conditional draw
 
 
@@ -37,7 +39,7 @@ def two_cores(monkeypatch):
 
 def test_threshold_sits_between_the_test_configs():
     for config, threaded in ((MF_ABOVE, True), (MF_BELOW, False)):
-        assert (config["m"] * config["t"] >= harness._THREADED_DRAW_MIN) is threaded
+        assert (config["m"] ** 2 + 2 * config["m"] >= harness._THREADED_DRAW_MIN) is threaded
 
 
 def _pools_opened(monkeypatch):
@@ -53,9 +55,9 @@ def _pools_opened(monkeypatch):
 
 
 def _pooled_block_draws(monkeypatch, spec, block_counts=None):
-    """Every trial's (signals, y, v) as the workers drew them, and the stream opens."""
+    """Every trial's (truth, C, v) as the workers drew them, and the stream opens."""
     rows, opens, lock = {}, collections.Counter(), threading.Lock()
-    real_draw, base = harness._draw_block, harness.RngStream
+    real_draw, base = harness._draw_bartlett, harness.RngStream
 
     class CountingStream(base):
         def generator(self, attempt=0):
@@ -64,15 +66,15 @@ def _pooled_block_draws(monkeypatch, spec, block_counts=None):
             return base.generator(self, attempt)
 
     def draw(*args):
-        signals, _, y, v = out = real_draw(*args)
+        out = real_draw(*args)
         for i, trial in enumerate(args[2].tolist()):
-            rows[trial] = tuple(np.copy(a[i]) for a in (signals, y, v))
+            rows[trial] = tuple(np.copy(a[i]) for a in out)
         return out
 
     with monkeypatch.context() as patch:
         opened = _pools_opened(patch)
         patch.setattr(harness, "RngStream", CountingStream)
-        patch.setattr(harness, "_draw_block", draw)
+        patch.setattr(harness, "_draw_bartlett", draw)
         if block_counts is not None:
             patch.setattr(harness, "_block_counts", block_counts)
         harness.run(spec)
@@ -81,21 +83,19 @@ def _pooled_block_draws(monkeypatch, spec, block_counts=None):
 
 
 def _lone_trial(spec, params, k):
-    """Trial k's (signals, y, v) alone: draw_trial, or a one-trial block drawing truth."""
-    if not spec.randomize_truth:
-        trial = harness.draw_trial(params, harness.RngStream(spec.seed, k))
-        return trial.signals, trial.y, trial.v
-    work = np.empty((1, params.t, params.m)), np.empty((1, params.t))
-    signals, _, y, v = harness._draw_block(spec.seed, params, np.array([k]), 0, None, work)
-    return signals[0], y[0], v[0]
+    """Trial k's (truth, C, v) alone: a one-trial block."""
+    truth = None if spec.randomize_truth else np.ones(1, dtype=np.int64)
+    out = harness._draw_bartlett(spec.seed, params, np.array([k]), 0, truth,
+                                 harness._bartlett_work(1, params))
+    return tuple(a[0] for a in out)
 
 
-def _assert_blocks_match_draw_trial(monkeypatch, spec, block_counts=None):
+def _assert_blocks_match_lone_trials(monkeypatch, spec, block_counts=None):
     rows, opens = _pooled_block_draws(monkeypatch, spec, block_counts)
     assert opens == {(k, 0): 1 for k in range(spec.trials)}, "a trial was drawn twice or not at all"
     params, _ = _setup(spec)
     for k in (0, 1, spec.trials - 1):
-        for name, got, want in zip(("signals", "y", "v"), _lone_trial(spec, params, k), rows[k]):
+        for name, got, want in zip(("truth", "C", "v"), _lone_trial(spec, params, k), rows[k]):
             assert got.tobytes() == want.tobytes(), (k, name)
 
 
@@ -103,7 +103,7 @@ def _assert_blocks_match_draw_trial(monkeypatch, spec, block_counts=None):
 @pytest.mark.parametrize("randomize_truth", [False, True])
 def test_threaded_blocks_match_draw_trial(monkeypatch, randomize_truth):
     spec = harness.ExperimentSpec(trials=3, seed=11, randomize_truth=randomize_truth, **MF_LARGE)
-    _assert_blocks_match_draw_trial(monkeypatch, spec)
+    _assert_blocks_match_lone_trials(monkeypatch, spec)
 
 
 @pytest.mark.parametrize("split", [
@@ -119,11 +119,11 @@ def test_threaded_block_check_catches_a_bad_split(monkeypatch, split):
         trials = split(trials)
         if not len(trials):
             return 0
-        room = tuple(np.empty((len(trials),) + buf.shape[1:]) for buf in work)
-        return real(spec_, params, frame, trials, room, counts)
+        return real(spec_, params, frame, trials, harness._bartlett_work(len(trials), params),
+                    counts)
 
     with pytest.raises(AssertionError):
-        _assert_blocks_match_draw_trial(monkeypatch, spec, bad_split)
+        _assert_blocks_match_lone_trials(monkeypatch, spec, bad_split)
 
 
 @pytest.mark.usefixtures("two_cores")
@@ -133,7 +133,7 @@ def test_threaded_block_check_catches_a_bad_split(monkeypatch, split):
 def test_threaded_blocks_match_reference_counts(monkeypatch, config, trials, randomize_truth):
     spec = harness.ExperimentSpec(trials=trials, seed=9, randomize_truth=randomize_truth, **config)
     params, frame = _setup(spec)
-    reference = reference_trial_counts(spec, params, frame, 0, trials)
+    reference = bartlett_reference_counts(spec, params, frame, 0, trials)
     assert sum(reference[0].values()) > 0
     opened = _pools_opened(monkeypatch)
     assert harness._trial_counts(spec, params, frame, 0, trials, threads=None) == reference
@@ -192,7 +192,7 @@ def test_a_draw_worker_error_reaches_the_caller_and_the_next_run_recovers(monkey
     assert pools == [2]
     assert len(opened) < spec.trials, "the other worker kept taking blocks after the error"
     params, frame = _setup(spec)
-    counts, discards = reference_trial_counts(spec, params, frame, 0, spec.trials)
+    counts, discards = bartlett_reference_counts(spec, params, frame, 0, spec.trials)
     result = harness.run(spec)
     assert {d: s.errors for d, s in result.per_detector.items()} == counts
     assert result.discarded_trials == discards == 0
@@ -250,13 +250,13 @@ def blas_at_two():
 
 @pytest.mark.usefixtures("blas_at_two")
 def test_a_run_holds_the_blas_at_one_thread_and_restores_it(monkeypatch):
-    seen, real_draw = [], harness._draw_block
+    seen, real_draw = [], harness._draw_bartlett
 
     def draw(*args):
         seen.append(_blas_threads())
         return real_draw(*args)
 
-    monkeypatch.setattr(harness, "_draw_block", draw)
+    monkeypatch.setattr(harness, "_draw_bartlett", draw)
     harness.run(harness.ExperimentSpec(trials=5, **GRAM_LARGE))
     assert seen and all(counts == [1, 1] for counts in seen)
     assert _blas_threads() == [2, 2]

@@ -1,12 +1,21 @@
-"""The block trial kernel against the per-trial reference loop.
+"""The block trial kernel against per-trial reference loops.
 
-reference_trial_counts is the trial loop the harness ran one trial at a time
-before trials were stacked into blocks.  It is kept here as the oracle: for
-the same (spec, trial range) the kernel must give the same error counts and
-the same discards, also when trials are forced to be redrawn.
+bartlett_reference_counts draws each trial as the kernel's Bartlett stage
+does, from the same stream in the same order, one trial at a time and with
+plain dense algebra: it forms G = C C^T and reads every statistic from it.
+It is the oracle for the kernel's blocks: for the same (spec, trial range)
+the kernel must give the same error counts and the same discards, also when
+trials are forced to be redrawn.
+
+reference_trial_counts is the direct draw, one trial at a time: the T x M
+signal matrix, the noise, the Gram and its Cholesky factor.  It is the
+reference the Bartlett and conditional stages are gated against
+(test_bartlett_sampler.py, test_conditional_sampler.py): their laws must be
+its law, while their numbers differ.
 """
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -18,41 +27,34 @@ from compdet.errors import NumericalFailure, SingularCovariance, SingularGram
 from compdet.model import ModelParams
 
 
-def reference_trial_counts(spec, params, frame, lo, hi):
-    """Error counts for trials [lo, hi), one trial at a time; (counts, discards)."""
+def _verdicts(frame, counts, v, gram, chol_g, u):
+    """Every requested rule's verdict on one trial's statistics."""
+    verdicts = {}
+    if "mf" in counts:
+        verdicts["mf"] = harness.detect_mf(v)
+    if "mfml" in counts:
+        verdicts["mfml"] = harness.detect_mfml(v, np.diag(gram))
+    if "ml" in counts and frame.kappa == 1:
+        verdicts["ml"] = harness.detect_ml_full_group(v, gram.sum(axis=1), np.diag(gram))
+    elif "ml" in counts:
+        wf = harness.whiten_from_cholesky(frame, chol_g)
+        verdicts["ml"] = harness.detect_ml_whitened(wf, u)
+    if "mrdd" in counts:
+        verdicts["mrdd"] = harness.detect_mrdd(frame, u)
+    if "rdd" in counts:
+        verdicts["rdd"] = harness.detect_rdd(frame, u)
+    return verdicts
+
+
+def _reference_loop(spec, lo, hi, draw):
+    """(counts, discards) for trials [lo, hi), each trial's attempts drawn by draw(gen)."""
     counts = dict.fromkeys(spec.detectors, 0)
     discards = 0
-    sigma = params.sigma
     for trial in range(lo, hi):
         stream = harness.RngStream(spec.seed, trial)
         for attempt in range(harness._MAX_ATTEMPTS):
-            gen = stream.generator(attempt)
-            signals = params.energy * gen.standard_normal((params.t, params.m))
-            truth = int(gen.integers(1, params.m + 1)) if spec.randomize_truth else 1
-            y = signals[:, truth - 1] + sigma * gen.standard_normal(params.t)
-            v = signals.T @ y
             try:
-                verdicts = {}
-                if "mf" in counts:
-                    verdicts["mf"] = harness.detect_mf(v)
-                if "mfml" in counts:
-                    verdicts["mfml"] = harness.detect_mfml(v, np.einsum("tm,tm->m", signals, signals))
-                if frame is not None:
-                    gram = signals.T @ signals
-                    try:
-                        chol_g = np.linalg.cholesky(gram)
-                    except np.linalg.LinAlgError as exc:
-                        raise SingularGram("Gram matrix is numerically singular") from exc
-                    u = frame.entries @ cho_solve((chol_g, True), v)
-                    if "ml" in counts and frame.kappa == 1:
-                        verdicts["ml"] = harness.detect_ml_full_group(v, gram)
-                    elif "ml" in counts:
-                        wf = harness.whiten_from_cholesky(frame, chol_g)
-                        verdicts["ml"] = harness.detect_ml_whitened(wf, u)
-                    if "mrdd" in counts:
-                        verdicts["mrdd"] = harness.detect_mrdd(frame, u)
-                    if "rdd" in counts:
-                        verdicts["rdd"] = harness.detect_rdd(frame, u)
+                truth, verdicts = draw(stream.generator(attempt), counts)
             except (SingularGram, SingularCovariance):
                 discards += 1
                 continue
@@ -65,6 +67,52 @@ def reference_trial_counts(spec, params, frame, lo, hi):
     return counts, discards
 
 
+def reference_trial_counts(spec, params, frame, lo, hi):
+    """Error counts for trials [lo, hi) of the direct draw, one trial at a time; (counts, discards)."""
+    def draw(gen, counts):
+        signals = params.energy * gen.standard_normal((params.t, params.m))
+        truth = int(gen.integers(1, params.m + 1)) if spec.randomize_truth else 1
+        y = signals[:, truth - 1] + params.sigma * gen.standard_normal(params.t)
+        v = signals.T @ y
+        gram = signals.T @ signals
+        try:
+            chol_g = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise SingularGram("Gram matrix is numerically singular") from exc
+        u = frame.entries @ cho_solve((chol_g, True), v)
+        return truth, _verdicts(frame, counts, v, gram, chol_g, u)
+
+    return _reference_loop(spec, lo, hi, draw)
+
+
+@functools.lru_cache(maxsize=None)
+def direct_counts(spec):
+    """reference_trial_counts over all of spec's trials; computed once per spec in a session."""
+    params, frame = _setup(spec)
+    return reference_trial_counts(spec, params, frame, 0, spec.trials)
+
+
+def bartlett_reference_counts(spec, params, frame, lo, hi):
+    """Error counts for trials [lo, hi) of the Bartlett draw, one trial at a time; (counts, discards)."""
+    m = params.m
+
+    def draw(gen, counts):
+        truth = int(gen.integers(1, m + 1)) if spec.randomize_truth else 1
+        normals = gen.standard_normal(m * m + m)
+        gammas = gen.standard_gamma((params.t - m + 1) / 2, m)
+        z, w = normals[:m * m].reshape(m, m), normals[m * m:]
+        chol = params.energy * np.tril(z, -1)
+        for i in range(m):
+            chol[i, i] = params.energy * np.sqrt(2 * gammas[i] + np.sum(z[i, i + 1:] ** 2))
+        if not np.all(np.diag(chol) > 0) or not np.all(np.isfinite(chol)):
+            raise SingularGram("the factor has a zero or non-finite diagonal")
+        v = chol @ (chol[truth - 1] + params.sigma * w)
+        u = frame.entries @ cho_solve((chol, True), v)
+        return truth, _verdicts(frame, counts, v, chol @ chol.T, chol, u)
+
+    return _reference_loop(spec, lo, hi, draw)
+
+
 def _setup(spec):
     return ModelParams.from_snr(spec.m, spec.t, spec.snr), harness.build_frame_for(spec)
 
@@ -72,7 +120,7 @@ def _setup(spec):
 def _both(spec, lo, hi):
     params, frame = _setup(spec)
     return (harness._trial_counts(spec, params, frame, lo, hi),
-            reference_trial_counts(spec, params, frame, lo, hi))
+            bartlett_reference_counts(spec, params, frame, lo, hi))
 
 
 KAPPA1 = dict(m=8, t=16, n=7, snr=2.0)  # 256 trials per block
@@ -90,7 +138,7 @@ def test_kernel_matches_reference_for_every_detector_set(config, randomize_truth
     spec = harness.ExperimentSpec(trials=300, detectors=harness.DETECTOR_NAMES, seed=seed,
                                   randomize_truth=randomize_truth, **config)
     params, frame = _setup(spec)
-    ref, ref_discards = reference_trial_counts(spec, params, frame, 0, 300)
+    ref, ref_discards = bartlett_reference_counts(spec, params, frame, 0, 300)
     assert sum(ref.values()) > 0
     for dets in SUBSETS:
         sub = dataclasses.replace(spec, detectors=dets)
@@ -100,9 +148,9 @@ def test_kernel_matches_reference_for_every_detector_set(config, randomize_truth
 
 
 @pytest.mark.parametrize("config", [
-    dict(m=64, t=128, n=21, snr=1.0, detectors=("mfml", "ml", "mrdd", "rdd")),  # 16 per block
-    dict(m=64, t=64, n=63, snr=0.25, detectors=("mfml", "ml", "mrdd")),  # T = M, 32 per block
-    dict(m=32, t=64, n=31, snr=1.0, detectors=("mf", "mfml", "rdd")),  # kappa = 1, 64 per block
+    dict(m=64, t=128, n=21, snr=1.0, detectors=("mfml", "ml", "mrdd", "rdd")),  # 31 per block
+    dict(m=64, t=64, n=63, snr=0.25, detectors=("mfml", "ml", "mrdd")),  # T = M, 31 per block
+    dict(m=32, t=64, n=31, snr=1.0, detectors=("mf", "mfml", "rdd")),  # kappa = 1, 120 per block
 ], ids=["m64-kappa3", "m64-beta1", "m32-kappa1"])
 def test_kernel_matches_reference_at_other_block_sizes(config):
     spec = harness.ExperimentSpec(trials=70, seed=3, randomize_truth=True, **config)
@@ -113,44 +161,48 @@ def test_kernel_matches_reference_at_other_block_sizes(config):
 # --- forced discards ---
 
 
-class _ZeroFirstSignal:
-    """Generator proxy that zeroes signal 1 in its first draw: S is rank deficient."""
+class _ZeroLastGamma:
+    """Generator proxy whose gamma fill ends in 0: the factor's last diagonal entry is 0."""
 
     def __init__(self, gen):
         self._gen = gen
-        self._first = True
 
-    def standard_normal(self, size=None, out=None):
-        x = self._gen.standard_normal(size, out=out)
-        if self._first:
-            x[..., 0] = 0.0
-            self._first = False
-        return x
+    def standard_normal(self, *args, **kwargs):
+        return self._gen.standard_normal(*args, **kwargs)
 
     def integers(self, *args, **kwargs):
         return self._gen.integers(*args, **kwargs)
 
-
-class _ScaledFirstSignal(_ZeroFirstSignal):
-    """Generator proxy that scales signal 1 of its first draw by 1e4."""
-
-    def standard_normal(self, size=None, out=None):
-        first = self._first
-        x = self._gen.standard_normal(size, out=out)
-        if first:
-            x[..., 0] *= 1e4
-            self._first = False
+    def standard_gamma(self, shape, size=None, out=None):
+        x = self._gen.standard_gamma(shape, size, out=out)
+        x[..., -1] = 0.0
         return x
 
 
+class _ScaledFirstRow(_ZeroLastGamma):
+    """Generator proxy that scales the first M normals (row 1 of Z) by 1e4: C_11 is large."""
+
+    def __init__(self, gen, m):
+        super().__init__(gen)
+        self._m = m
+
+    def standard_normal(self, *args, **kwargs):
+        x = self._gen.standard_normal(*args, **kwargs)
+        x[..., :self._m] *= 1e4
+        return x
+
+    def standard_gamma(self, *args, **kwargs):
+        return self._gen.standard_gamma(*args, **kwargs)
+
+
 def _degenerate_streams(monkeypatch, failing: dict):
-    """Make attempts 0..failing[id]-1 of the chosen streams draw a singular Gram."""
+    """Make attempts 0..failing[id]-1 of the chosen streams draw a factor with a zero diagonal."""
     base = harness.RngStream
 
     class DegenerateStream(base):
         def generator(self, attempt=0):
             gen = base.generator(self, attempt)
-            return _ZeroFirstSignal(gen) if attempt < failing.get(self.stream_id, 0) else gen
+            return _ZeroLastGamma(gen) if attempt < failing.get(self.stream_id, 0) else gen
 
     monkeypatch.setattr(harness, "RngStream", DegenerateStream)
 
@@ -180,17 +232,17 @@ def test_forced_discards_give_up_after_max_attempts(monkeypatch):
         harness.run(spec)
     params, frame = _setup(spec)
     with pytest.raises(NumericalFailure, match="trial 5 failed"):
-        reference_trial_counts(spec, params, frame, 0, 40)
+        bartlett_reference_counts(spec, params, frame, 0, 40)
     monkeypatch.undo()
     _degenerate_streams(monkeypatch, {5: harness._MAX_ATTEMPTS - 1})
     counts, discards = harness._trial_counts(spec, params, frame, 0, 40)
     assert discards == harness._MAX_ATTEMPTS - 1
-    assert (counts, discards) == reference_trial_counts(spec, params, frame, 0, 40)
+    assert (counts, discards) == bartlett_reference_counts(spec, params, frame, 0, 40)
 
 
 def test_forced_covariance_discards(monkeypatch):
-    # At kappa = 3, ML whitens; a trial whose first signal is scaled up is
-    # declared to have a singular covariance, for a block or alone.
+    # At kappa = 3, ML whitens; a trial whose first factor entry is scaled
+    # up is declared to have a singular covariance, for a block or alone.
     failing = {2: 1, 7: 2, 200: 1}
     base = harness.RngStream
 
@@ -198,7 +250,7 @@ def test_forced_covariance_discards(monkeypatch):
         def generator(self, attempt=0):
             gen = base.generator(self, attempt)
             if attempt < failing.get(self.stream_id, 0):
-                return _ScaledFirstSignal(gen)
+                return _ScaledFirstRow(gen, KAPPA3["m"])
             return gen
 
     whiten = harness.whiten_from_cholesky
