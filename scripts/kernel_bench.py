@@ -4,12 +4,12 @@
     python scripts/kernel_bench.py --parent ../parent-checkout --rounds 3 --out BENCH_20.json
     python scripts/kernel_bench.py --threshold --rounds 4 --out BENCH_20.json
 
-The default mode times four configs at worker caps None/1/2/4 (``run``'s
+The default mode times five configs at worker caps None/1/2/4 (``run``'s
 ``threads``), each measurement in a fresh interpreter that imports compdet
 from one tree's ``src``: M=64 N=21 and M=256 N=85 (kappa = 3, whitened ML),
-M=256 N=255 (kappa = 1), which draw by Bartlett, and M=256 ``mf`` with
-random truth, which has no compressed rule and so times the conditional
-draw.  The parent and this tree alternate, and the side that runs first
+M=256 N=255 and M=8 N=7 with all four rules of ``small_all`` (kappa = 1),
+which draw by Bartlett, and M=256 ``mf`` with random truth, which has no
+compressed rule and so times the conditional draw.  The parent and this tree alternate, and the side that runs first
 swaps each round.  The cap None calls ``run`` without one, so each tree runs
 at its default.
 
@@ -44,6 +44,7 @@ CONFIGS = {
     "m256_n85_k3": (dict(m=256, t=512, n=85, snr=0.03, detectors=("ml", "mrdd")), 60),
     "m256_n255": (dict(m=256, t=512, n=255, snr=0.03, detectors=("ml", "mrdd")), 200),
     "m256_mf": (dict(m=256, t=512, snr=0.03, detectors=("mf",), randomize_truth=True), 4000),
+    "m8_all": (dict(m=8, t=16, n=7, snr=2.0, detectors=("mf", "ml", "mrdd", "rdd")), 40000),
 }
 THREADS = (None, 1, 2, 4)
 # (M, T, N) and the trials of one measurement.  Numbers drawn per trial:

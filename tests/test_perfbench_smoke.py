@@ -23,8 +23,8 @@ PER_LAYER = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text()
 # Layers the Monte Carlo workloads must see at work: the trace wraps the stream
 # class and the solve where the harness calls them.  mf_draw forms no u.  On
 # the M=256 workloads the trials run on worker threads, which must resolve the
-# traced names too.  The trace also wraps numpy's Cholesky, which no longer
-# factors a Gram on any workload.
+# traced names too.  The trace also wraps numpy's Cholesky, which
+# factors no Gram on any workload.
 STREAM_LAYERS = ("rng.stream_open_us", "rng.draw_us")
 WORK_LAYERS = {"small_all": STREAM_LAYERS + ("model.compressed_stat_us",),
                "large_ml": STREAM_LAYERS + ("model.compressed_stat_us",),
