@@ -3,6 +3,7 @@
 
     python scripts/kernel_bench.py --parent ../parent-checkout --rounds 3 --out BENCH_20.json
     python scripts/kernel_bench.py --threshold --rounds 4 --out BENCH_20.json
+    python scripts/kernel_bench.py --fill --rounds 4 --out BENCH_21.json
 
 The default mode times five configs at worker caps None/1/2/4 (``run``'s
 ``threads``), each measurement in a fresh interpreter that imports compdet
@@ -20,8 +21,14 @@ A trial with a compressed rule (``ml,mrdd``) draws M^2 + 2M numbers by
 Bartlett; one without (``mf,mfml``) draws 2T + 2M numbers from the
 conditional law.
 
-The results go under one key ("kernel_bench" or "threshold") of the JSON
-file given by --out; its other keys are kept.
+--fill times this tree's Bartlett stage alone (``harness._draw_bartlett``
+on blocks of ``run``'s size, T = 2M, the BLAS held at one thread) in us per
+trial at M = 8 to 256, under both layouts: the full fill of M^2 + M normals
+and the half fill of M(M-1)/2 + M normals with an array of gamma shapes,
+picked by setting ``harness._HALF_FILL_MIN_M``.  It sets that constant.
+
+The results go under one key ("kernel_bench", "threshold" or "fill") of the
+JSON file given by --out; its other keys are kept.
 """
 
 from __future__ import annotations
@@ -59,6 +66,10 @@ THRESHOLD_CONFIGS = [
 ]
 
 
+# M and the trials of one --fill measurement.
+FILL_CONFIGS = [(8, 40000), (16, 40000), (32, 20000), (64, 10000), (128, 3000), (256, 1000)]
+
+
 def draws(m: int, t: int, n) -> int:
     """Numbers one trial draws: M^2 + 2M by Bartlett with a frame, 2T + 2M conditionally without."""
     return m * m + 2 * m if n is not None else 2 * (t + m)
@@ -79,12 +90,41 @@ print((time.perf_counter() - start) / trials * 1e3)
 """
 
 
-def measure(tree: Path, spec: dict, trials: int, threads, lower: bool = False) -> float:
+# One --fill measurement: the Bartlett stage alone, warmed up, in one layout; prints us/trial.
+_FILL = """
+import json, sys, time
+import numpy as np
+from compdet import harness
+from compdet.model import ModelParams
+m, half, trials = json.loads(sys.argv[1])
+harness._HALF_FILL_MIN_M = m if half else m + 1
+params = ModelParams.from_snr(m, 2 * m, 1.0)
+size = harness._block_size(m * m + 2 * m)
+work, truth = harness._bartlett_work(size, params), np.ones(size, dtype=np.int64)
+trials = -(-trials // size) * size
+
+def draw(trials):
+    with harness._ONE_BLAS_THREAD:
+        for start in range(0, trials, size):
+            harness._draw_bartlett(7, params, np.arange(start, start + size), 0, truth, work)
+
+draw(4 * size)
+start = time.perf_counter()
+draw(trials)
+print((time.perf_counter() - start) / trials * 1e6)
+"""
+
+
+def child(tree: Path, script: str, *args) -> float:
+    """The last line a fresh interpreter running script prints, with compdet from tree's src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    arg = json.dumps([spec, trials, threads, lower])
-    proc = subprocess.run([sys.executable, "-c", _MEASURE, arg], env=env, capture_output=True,
-                          text=True, check=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(args)], env=env,
+                          capture_output=True, text=True, check=True, timeout=600)
     return float(proc.stdout.strip().splitlines()[-1])
+
+
+def measure(tree: Path, spec: dict, trials: int, threads, lower: bool = False) -> float:
+    return child(tree, _MEASURE, spec, trials, threads, lower)
 
 
 def summary(values: list) -> dict:
@@ -139,19 +179,37 @@ def threshold(rounds: int) -> dict:
     return {"runs": runs, "medians": medians}
 
 
+def fill(rounds: int) -> dict:
+    runs = []
+    for r in range(rounds):
+        for m, trials in FILL_CONFIGS:
+            for layout in (["full", "half"] if r % 2 == 0 else ["half", "full"]):
+                us = child(ROOT, _FILL, m, layout == "half", trials)
+                runs.append({"round": r, "m": m, "layout": layout, "us_per_trial": us})
+                print(f"round {r} M={m} {layout}: {us:.1f} us/trial", file=sys.stderr)
+    medians = {f"M={m}": {layout: summary(
+        [x["us_per_trial"] for x in runs if (x["m"], x["layout"]) == (m, layout)])
+        for layout in ("full", "half")} for m, _ in FILL_CONFIGS}
+    return {"runs": runs, "medians": medians}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--threshold", action="store_true",
                         help="time one worker against one per core around the threshold")
+    parser.add_argument("--fill", action="store_true",
+                        help="time the Bartlett stage's full and half fills at M = 8 to 256")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
     args = parser.parse_args()
     if args.threshold:
         key, result = "threshold", threshold(args.rounds)
+    elif args.fill:
+        key, result = "fill", fill(args.rounds)
     elif args.parent is None:
-        parser.error("--parent is required unless --threshold is given")
+        parser.error("--parent is required unless --threshold or --fill is given")
     else:
         key, result = "kernel_bench", compare(args.parent.resolve(), args.rounds)
     result = {"command": " ".join(["python", "scripts/kernel_bench.py"] + sys.argv[1:]),

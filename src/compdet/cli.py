@@ -410,7 +410,7 @@ def cmd_validate(args) -> int:
 
 
 THREADS_HELP = ("most worker threads (default: one per core); results do not depend on it, "
-                "and trials that draw fewer than 2^12 numbers (M^2+2M with a compressed rule, "
+                "and trials of fewer than 2^12 numbers (M^2+2M with a compressed rule, "
                 "else 2T+2M) run on one")
 
 

@@ -9,7 +9,10 @@ same draws, which makes paired comparisons low-variance.
   factor C of G ~ W_M(T, E^2 I) directly (Bartlett 1933; Muirhead, Aspects
   of Multivariate Statistical Theory, 1982, section 3.2), and v given C:
   O(M^2) numbers, no signal matrix, no Gram matmul and no Cholesky.  Error
-  rates average over the random G, as with the direct draw.
+  rates average over the random G, as with the direct draw.  Below
+  _HALF_FILL_MIN_M a trial fills an M x M normal matrix and draws its
+  gammas with one scalar shape; from it on it fills only L's strict lower
+  triangle and draws the gammas with an array of M shapes.
 * Conditional (_draw_conditional), for a spec whose rules are only mf and
   mfml: the exact law of (truth, v, column energies) given y, O(T + M) draws.
 * Direct (draw_trial): the T x M signal matrix and the noise of one trial,
@@ -35,10 +38,10 @@ evaluates a block at a time on buffers it keeps across blocks; numpy's
 fills and the BLAS/LAPACK calls release the interpreter lock.  While the
 kernel runs, the process's OpenBLAS libraries are held at one thread
 (_OneBlasThread), so the workers get the cores, and a factor's bits do not
-depend on the BLAS thread setting.  Trials that draw fewer than
-_THREADED_DRAW_MIN numbers (M^2 + 2M for Bartlett, 2T + 2M conditionally)
-are bound by the interpreter lock and run on one worker, as does every run
-where no OpenBLAS library can be held.
+depend on the BLAS thread setting.  Trials of fewer than _THREADED_DRAW_MIN
+numbers (M^2 + 2M for Bartlett in either layout, 2T + 2M conditionally) are
+bound by the interpreter lock and run on one worker, as does every run where
+no OpenBLAS library can be held.
 """
 
 from __future__ import annotations
@@ -76,11 +79,21 @@ MAX_DISCARD_FRACTION = 1e-3
 _MAX_ATTEMPTS = 64
 _MAX_BLOCK = 256  # most trials per block; a multiple of rng._KEY_BLOCK
 _BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked draws
-# Numbers one trial must draw (M^2 + 2M for Bartlett, 2T + 2M conditionally)
-# for a run to use more than one worker.  On 2 cores, one worker per core won
-# from 2^12 on and lost at M=8, where the interpreter lock binds
-# (scripts/kernel_bench.py --threshold; ROADMAP item 9 has the runs).
+# Size of one trial, in numbers, from which a run uses more than one worker:
+# 2T + 2M for the conditional draw, and for Bartlett M^2 + 2M, the numbers
+# of its full fill, at every M.  The half fill draws M(M+1)/2 fewer, but
+# each M keeps the workers and block size measured on the full fill.  On 2
+# cores, one worker per core won from 2^12 on and lost at M=8, where the
+# interpreter lock binds (scripts/kernel_bench.py --threshold; ROADMAP item 9
+# has the runs).
 _THREADED_DRAW_MIN = 1 << 12
+# Least M whose Bartlett draw takes the half fill (_draw_bartlett): L's
+# strict lower triangle and an array of gamma shapes.  The array costs a
+# fixed few microseconds a trial, so below it the full fill is faster: the
+# Bartlett stage read 17.0 against 14.0 us a trial at M=16, and 28.0 against
+# 31.1 at M=32, half against full (medians of 4 rounds on 2 cores;
+# scripts/kernel_bench.py --fill, BENCH_21.json "fill").
+_HALF_FILL_MIN_M = 32
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 
@@ -277,7 +290,7 @@ def _block_size(floats: int) -> int:
 def _worker_count(floats: int, blocks: int, threads: Optional[int]) -> int:
     """Workers for blocks of trials of floats: one per core, at most threads (if given) and blocks.
 
-    Trials that draw fewer than _THREADED_DRAW_MIN numbers get one worker.
+    Trials of fewer than _THREADED_DRAW_MIN numbers get one worker.
     The draws of the blocks in flight stay within max(_CORES blocks of
     _BLOCK_BYTES, two trials), however many cores the machine has.
     """
@@ -290,10 +303,24 @@ def _worker_count(floats: int, blocks: int, threads: Optional[int]) -> int:
 
 
 def _bartlett_work(size: int, params: ModelParams) -> tuple:
-    """_draw_bartlett's buffers for blocks of up to size trials, and its two triangle masks."""
-    m = params.m
+    """_draw_bartlett's buffers for blocks of up to size trials, and the constants of its layout.
+
+    (normals, gammas, square, lower, upper, shape): the normal fills, the
+    gamma fills, an M x M buffer per trial, C's strict lower triangle, Z's
+    strict upper mask and the gamma shape.  Below _HALF_FILL_MIN_M the square
+    buffer holds Z's squares, lower is E times the strict lower mask and the
+    shape is one scalar.  From _HALF_FILL_MIN_M on the square buffer holds C,
+    zeroed here once, since the draw writes only its lower triangle; lower
+    is the flat indices of the strict lower triangle, row by row, upper is
+    None and the shape is the array of M shapes.
+    """
+    m, t = params.m, params.t
+    if m >= _HALF_FILL_MIN_M:
+        return (np.empty((size, m * (m - 1) // 2 + m)), np.empty((size, m)),
+                np.zeros((size, m, m)), np.flatnonzero(np.tri(m, k=-1)), None,
+                (t - np.arange(m)) / 2)
     return (np.empty((size, m * m + m)), np.empty((size, m)), np.empty((size, m, m)),
-            np.triu(np.ones((m, m)), 1), params.energy * np.tri(m, k=-1))
+            params.energy * np.tri(m, k=-1), np.triu(np.ones((m, m)), 1), (t - m + 1) / 2)
 
 
 def _draw_bartlett(seed, params, trials: np.ndarray, attempt: int, truth, work):
@@ -304,33 +331,47 @@ def _draw_bartlett(seed, params, trials: np.ndarray, attempt: int, truth, work):
     independent (Bartlett's decomposition).  Given S, S^T z ~ N(0, G), the
     law of C w with w ~ N(0, I_M), so v = G e_k + sigma S^T z has the law of
     C (C^T e_k + sigma w), where C^T e_k is row k of C.  Each trial's stream
-    RngStream(seed, trial) draws its truth (when truth is None), then an
-    M x M normal matrix Z (row-major) and w in one fill, then M gamma
-    variates X of shape (T - M + 1) / 2.  L's strict lower triangle is Z's;
-    row i of Z's strict upper triangle holds M - i normals, so
-    L_ii^2 = 2 X_i + sum_{j>i} Z_ij^2 is chi^2_{T-M+1} + chi^2_{M-i}.  A
-    scalar gamma shape keeps the fill cheap at small M.  work is
-    _bartlett_work's, with room for len(trials) trials; C is a view of it.
+    RngStream(seed, trial) draws its truth (when truth is None), then its
+    normals in one fill, then M gamma variates X, in one of two layouts:
+
+    * Full fill, M < _HALF_FILL_MIN_M: an M x M normal matrix Z (row-major)
+      and w, then X of the one shape (T - M + 1) / 2.  L's strict lower
+      triangle is Z's; row i of Z's strict upper triangle holds M - i
+      normals, so L_ii^2 = 2 X_i + sum_{j>i} Z_ij^2 is chi^2_{T-M+1} +
+      chi^2_{M-i}.
+    * Half fill, M >= _HALF_FILL_MIN_M: L's strict lower triangle, packed
+      row by row, and w, then X of the shapes (T - i + 1) / 2, so
+      L_ii^2 = 2 X_i.  M(M-1)/2 fewer normals, and no masks or row sums.
+
+    work is _bartlett_work's, with room for len(trials) trials; C is a view
+    of it.
     """
     b, m = len(trials), params.m
-    normals, gammas, squares, upper, lower = work
-    normals, gammas, squares = normals[:b], gammas[:b], squares[:b]
+    normals, gammas, square, lower, upper, shape = work
+    normals, gammas, square = normals[:b], gammas[:b], square[:b]
     draws_truth = truth is None
     truth = np.empty(b, dtype=np.int64) if draws_truth else truth
-    shape = (params.t - m + 1) / 2
     for i, trial in enumerate(trials.tolist()):
         gen = RngStream(seed, trial).generator(attempt)
         if draws_truth:
             truth[i] = gen.integers(1, m + 1)
         gen.standard_normal(out=normals[i])
         gen.standard_gamma(shape, out=gammas[i])
-    chol, w = normals[:, :m * m].reshape(b, m, m), normals[:, m * m:]
-    np.multiply(chol, chol, out=squares)
-    squares *= upper
     gammas *= 2.0
-    gammas += squares.sum(axis=-1)
-    chol *= lower
-    normals[:, :m * m:m + 1] = params.energy * np.sqrt(gammas)  # C's diagonal
+    if upper is None:  # the half fill
+        packed, w = normals[:, :-m], normals[:, -m:]
+        packed *= params.energy
+        flat = square.reshape(b, m * m)
+        flat[:, lower] = packed
+    else:
+        flat, w = normals[:, :m * m], normals[:, m * m:]
+        z = flat.reshape(b, m, m)
+        np.multiply(z, z, out=square)
+        square *= upper
+        gammas += square.sum(axis=-1)
+        z *= lower
+    flat[:, ::m + 1] = params.energy * np.sqrt(gammas)  # C's diagonal
+    chol = flat.reshape(b, m, m)
     x = chol[np.arange(b), truth - 1]
     w *= params.sigma
     x += w
@@ -514,7 +555,8 @@ def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
     integers, so they do not depend on which worker ran which block.
     """
     t, m = params.t, params.m
-    floats = m * m + 2 * m if frame is not None else 2 * (t + m)  # a Bartlett or conditional draw
+    # A trial's size: the numbers of a full Bartlett fill, or of a conditional draw.
+    floats = m * m + 2 * m if frame is not None else 2 * (t + m)
     size = _block_size(floats)
     starts = list(range(lo, hi, size))[::-1]  # taken from the end
     lock = threading.Lock()

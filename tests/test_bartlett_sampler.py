@@ -8,14 +8,21 @@ two-proportion z-test at a two-sided level of 1e-3 per rule, with the trial
 counts and seeds fixed here.  The direct sides of the M=8 and M=256 gates are
 the direct sides of test_conditional_sampler.py's gates, computed once.
 
-The KS check tests the law of the factor alone: at c3's config the whitened
-pair distance from Bartlett factors must follow T - M + N degrees of freedom.
+The KS checks test the law of the factor alone: at c3's config, and at a
+kappa = 3 config drawn by the half fill, the whitened pair distance from
+Bartlett factors must follow T - M + N degrees of freedom.  The half fill's
+law gets two more checks, with levels and sizes fixed here: a KS test of
+the diagonal's squared sum, and an exact binomial test of how often
+competitor 2 outscores truth 1.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
-from compdet import harness, stats
+from compdet import detectors, harness, stats
 from compdet.model import ModelParams
 from test_conditional_sampler import DIRECT_M256, DIRECT_M8, LEVEL, _errors, _two_sided_p
 from test_trial_kernel import direct_counts
@@ -36,13 +43,22 @@ def test_bartlett_rates_match_the_direct_draw(bartlett, direct):
         assert p >= LEVEL, (rule, errors[rule], direct_errors[rule], p)
 
 
-def test_bartlett_factors_give_the_wishart_projection_law():
-    # c3's config and pair: (a_i - a_j)^T (A G^{-1} A^T)^{-1} (a_i - a_j) over
-    # Bartlett factors is pair_scale times chi^2_{T-M+N}; T - M is rejected.
-    params = ModelParams.from_snr(m=16, t=32, snr=1.0)
-    spec = harness.ExperimentSpec(m=16, t=32, n=5, snr=1.0, trials=1, detectors=("ml",))
+def _factors(params, seed: int, count: int, block: int = 25):
+    """(C, v) of trials 0..count-1 with truth 1, drawn by _draw_bartlett a block at a time."""
+    work, truth = harness._bartlett_work(block, params), np.ones(block, dtype=np.int64)
+    for start in range(0, count, block):
+        _, chol, v = harness._draw_bartlett(seed, params, np.arange(start, start + block), 0, truth,
+                                            work)
+        yield chol, v
+
+
+def _assert_wishart_projection_law(m, t, n, seed):
+    # (a_i - a_j)^T (A G^{-1} A^T)^{-1} (a_i - a_j) over Bartlett factors is
+    # pair_scale times chi^2_{T-M+N}; T - M is rejected.
+    params = ModelParams.from_snr(m=m, t=t, snr=1.0)
+    spec = harness.ExperimentSpec(m=m, t=t, n=n, snr=1.0, trials=1, detectors=("ml",))
     frame, samples, pair = harness.build_frame_for(spec), 2000, (1, 2)
-    _, chol, _ = harness._draw_bartlett(2005, params, np.arange(samples), 0,
+    _, chol, _ = harness._draw_bartlett(seed, params, np.arange(samples), 0,
                                         np.ones(samples, dtype=np.int64),
                                         harness._bartlett_work(samples, params))
     columns = harness.whiten_from_cholesky(frame, chol, [pair[0] - 1, pair[1] - 1]).columns
@@ -52,3 +68,50 @@ def test_bartlett_factors_give_the_wishart_projection_law():
     exact = stats.ks_statistic(scaled, lambda x: stats.chi2_cdf(x, params.t - params.m + frame.n))
     wrong = stats.ks_statistic(scaled, lambda x: stats.chi2_cdf(x, params.t - params.m))
     assert exact < critical < wrong, (exact, critical, wrong)
+
+
+def test_bartlett_factors_give_the_wishart_projection_law():
+    _assert_wishart_projection_law(16, 32, 5, 2005)  # c3's config and pair, the full fill
+
+
+def test_half_fill_factors_give_the_wishart_projection_law():
+    assert 64 >= harness._HALF_FILL_MIN_M
+    _assert_wishart_projection_law(64, 128, 21, 2105)
+
+
+def test_half_fill_diagonal_sums_to_its_chi2():
+    # sum_i L_ii^2 is chi^2 with sum_i (T - i + 1) = M (2T - M + 1) / 2
+    # degrees of freedom, ~98k here.  A shape off by a half in every term
+    # ((T - i) / 2, or (T - i + 2) / 2 as from a 0-based i) moves the mean by
+    # M, ~0.6 sd, which 1,000 sums resolve; dof - M is rejected.
+    params = ModelParams.from_snr(m=256, t=512, snr=1.0)
+    assert params.m >= harness._HALF_FILL_MIN_M
+    samples, dof = 1000, params.m * (2 * params.t - params.m + 1) // 2
+    sums = np.concatenate([(np.diagonal(chol, axis1=-2, axis2=-1) ** 2).sum(axis=-1)
+                           for chol, _ in _factors(params, 2106, samples)]) / params.energy ** 2
+    critical = stats.ks_critical_value(samples, LEVEL)
+    exact = stats.ks_statistic(sums, lambda x: stats.chi2_cdf(x, dof))
+    wrong = stats.ks_statistic(sums, lambda x: stats.chi2_cdf(x, dof - params.m))
+    assert exact < critical < wrong, (exact, critical, wrong)
+
+
+def test_half_fill_pair_errors_follow_the_t_tail():
+    # Competitor 2 outscores truth 1 with probability P(t_nu > c sqrt(nu)),
+    # c^2 = SNR / 2: nu = T for the mfml score, and nu = T - 1 for kappa = 1
+    # ML, which projects out the all-ones direction.  An exact binomial test
+    # (the Clopper-Pearson interval at 1 - LEVEL) over 8,000 trials.
+    snr, trials = 0.005, 8000
+    params = ModelParams.from_snr(m=256, t=512, snr=snr)
+    assert params.m >= harness._HALF_FILL_MIN_M
+    wins = {"mfml": 0, "ml": 0}
+    for chol, v in _factors(params, 2107, trials, block=16):
+        energy = np.einsum("bij,bij->bi", chol, chol)
+        g = (chol @ chol.sum(axis=-2)[:, :, None])[:, :, 0]
+        for rule, scores in (("mfml", v - 0.5 * energy),
+                             ("ml", detectors.full_group_ml_scores(v, g, energy))):
+            wins[rule] += int(np.count_nonzero(scores[:, 1] > scores[:, 0]))
+    c = math.sqrt(snr / 2)
+    for rule, nu in (("mfml", params.t), ("ml", params.t - 1)):
+        p = stdtr(nu, -c * math.sqrt(nu))
+        lo, hi = stats.clopper_pearson(wins[rule], trials, 1 - LEVEL)
+        assert lo <= p <= hi, (rule, wins[rule], p, lo, hi)

@@ -5,8 +5,8 @@ libraries held at one thread.  Each trial must still draw exactly what it
 draws alone, so a one-trial block, the per-trial reference loop and every
 worker count give the same bits and counts, and the BLAS setting is left as
 found.  The configs have a compressed rule, so their trials are drawn by
-Bartlett (M^2 + 2M numbers); a spec of only mf and mfml draws O(T + M)
-numbers a trial and runs on one worker.
+Bartlett (counted as M^2 + 2M numbers in either fill); a spec of only mf
+and mfml draws O(T + M) numbers a trial and runs on one worker.
 """
 
 import collections
@@ -25,7 +25,7 @@ from test_trial_kernel import KAPPA1, _setup, bartlett_reference_counts
 # mf and mfml beside a compressed rule read the Bartlett draw.
 MF_LARGE = dict(m=256, t=512, n=255, snr=0.03, detectors=("mf", "mfml", "ml"))  # one trial a block
 GRAM_LARGE = dict(m=256, t=512, n=255, snr=0.03, detectors=("ml", "mrdd"))
-# M^2 + 2M numbers drawn a trial: 4,224 above the threshold, 1,088 below it.
+# M^2 + 2M numbers counted a trial: 4,224 above the threshold, 1,088 below it.
 MF_ABOVE = dict(m=64, t=128, n=63, snr=0.03, detectors=("mf", "mfml", "ml"))
 MF_BELOW = dict(m=32, t=64, n=31, snr=0.03, detectors=("mf", "mfml", "ml"))
 MF_ONLY_LARGE = dict(m=256, t=512, snr=0.03, detectors=("mf", "mfml"))  # the conditional draw

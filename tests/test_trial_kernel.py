@@ -1,8 +1,10 @@
 """The block trial kernel against per-trial reference loops.
 
 bartlett_reference_counts draws each trial as the kernel's Bartlett stage
-does, from the same stream in the same order, one trial at a time and with
-plain dense algebra: it forms G = C C^T and reads every statistic from it.
+does, from the same stream in the same order and in the same layout (the
+full fill below harness._HALF_FILL_MIN_M, the half fill from it on), one
+trial at a time and with plain dense algebra: it forms G = C C^T and reads
+every statistic from it.
 It is the oracle for the kernel's blocks: for the same (spec, trial range)
 the kernel must give the same error counts and the same discards, also when
 trials are forced to be redrawn.
@@ -20,15 +22,52 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+import scipy.linalg
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from compdet import harness
+from compdet.detectors import WhitenedFrame
 from compdet.errors import NumericalFailure, SingularCovariance, SingularGram
 from compdet.model import ModelParams
 
 
-def _verdicts(frame, counts, v, gram, chol_g, u):
-    """Every requested rule's verdict on one trial's statistics."""
+def _solution(x, info):
+    """x of a LAPACK call's (x, info); a nonzero info raises."""
+    if info:
+        raise ValueError(f"LAPACK info {info}")
+    return x
+
+
+def _cho_solve(chol_g, v):
+    """G^{-1} v from G's lower factor: scipy.linalg.cho_solve's potrs call, without its checks."""
+    return _solution(*dpotrs(chol_g, v, lower=1))
+
+
+def _whiten(frame, chol_g):
+    """harness.whiten_from_cholesky of one factor, with the trtrs calls of its solve_triangular.
+
+    solve_triangular hands trtrs a C-ordered lower factor as its transpose,
+    an upper factor in Fortran order, and solves the transposed system.
+    """
+    x = _solution(*dtrtrs(chol_g.T, frame.entries.T, lower=0, trans=1))
+    try:
+        chol_c = np.linalg.cholesky(x.T @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("compressed covariance is numerically singular") from exc
+    columns = _solution(*dtrtrs(chol_c.T, frame.entries, lower=0, trans=1))
+    return WhitenedFrame(chol_c=chol_c, columns=columns, col_sqnorm=(columns * columns).sum(axis=-2))
+
+
+# The reference loops' (cho_solve, whiten): LAPACK without argument checks,
+# and the checked scipy and harness calls it replaced, with the same counts.
+LAPACK = (_cho_solve, _whiten)
+CHECKED = (lambda chol_g, v: scipy.linalg.cho_solve((chol_g, True), v), harness.whiten_from_cholesky)
+
+
+def _verdicts(frame, counts, v, gram, chol_g, linalg):
+    """Every requested rule's verdict on one trial's statistics, solving with linalg."""
+    cho_solve, whiten = linalg
+    u = frame.entries @ cho_solve(chol_g, v)
     verdicts = {}
     if "mf" in counts:
         verdicts["mf"] = harness.detect_mf(v)
@@ -37,7 +76,7 @@ def _verdicts(frame, counts, v, gram, chol_g, u):
     if "ml" in counts and frame.kappa == 1:
         verdicts["ml"] = harness.detect_ml_full_group(v, gram.sum(axis=1), np.diag(gram))
     elif "ml" in counts:
-        wf = harness.whiten_from_cholesky(frame, chol_g)
+        wf = whiten(frame, chol_g)
         verdicts["ml"] = harness.detect_ml_whitened(wf, u)
     if "mrdd" in counts:
         verdicts["mrdd"] = harness.detect_mrdd(frame, u)
@@ -67,7 +106,7 @@ def _reference_loop(spec, lo, hi, draw):
     return counts, discards
 
 
-def reference_trial_counts(spec, params, frame, lo, hi):
+def reference_trial_counts(spec, params, frame, lo, hi, linalg=LAPACK):
     """Error counts for trials [lo, hi) of the direct draw, one trial at a time; (counts, discards)."""
     def draw(gen, counts):
         signals = params.energy * gen.standard_normal((params.t, params.m))
@@ -79,8 +118,7 @@ def reference_trial_counts(spec, params, frame, lo, hi):
             chol_g = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
             raise SingularGram("Gram matrix is numerically singular") from exc
-        u = frame.entries @ cho_solve((chol_g, True), v)
-        return truth, _verdicts(frame, counts, v, gram, chol_g, u)
+        return truth, _verdicts(frame, counts, v, gram, chol_g, linalg)
 
     return _reference_loop(spec, lo, hi, draw)
 
@@ -92,23 +130,35 @@ def direct_counts(spec):
     return reference_trial_counts(spec, params, frame, 0, spec.trials)
 
 
-def bartlett_reference_counts(spec, params, frame, lo, hi):
+def bartlett_reference_counts(spec, params, frame, lo, hi, linalg=LAPACK):
     """Error counts for trials [lo, hi) of the Bartlett draw, one trial at a time; (counts, discards)."""
     m = params.m
 
-    def draw(gen, counts):
-        truth = int(gen.integers(1, m + 1)) if spec.randomize_truth else 1
+    def full_fill(gen):
         normals = gen.standard_normal(m * m + m)
         gammas = gen.standard_gamma((params.t - m + 1) / 2, m)
         z, w = normals[:m * m].reshape(m, m), normals[m * m:]
         chol = params.energy * np.tril(z, -1)
         for i in range(m):
             chol[i, i] = params.energy * np.sqrt(2 * gammas[i] + np.sum(z[i, i + 1:] ** 2))
+        return chol, w
+
+    def half_fill(gen):
+        normals = gen.standard_normal(m * (m - 1) // 2 + m)
+        gammas = gen.standard_gamma((params.t - np.arange(m)) / 2, m)  # (T - i + 1) / 2, 1-based i
+        chol = np.zeros((m, m))
+        chol[np.tril_indices(m, -1)] = params.energy * normals[:-m]
+        for i in range(m):
+            chol[i, i] = params.energy * np.sqrt(2 * gammas[i])
+        return chol, normals[-m:]
+
+    def draw(gen, counts):
+        truth = int(gen.integers(1, m + 1)) if spec.randomize_truth else 1
+        chol, w = (half_fill if m >= harness._HALF_FILL_MIN_M else full_fill)(gen)
         if not np.all(np.diag(chol) > 0) or not np.all(np.isfinite(chol)):
             raise SingularGram("the factor has a zero or non-finite diagonal")
         v = chol @ (chol[truth - 1] + params.sigma * w)
-        u = frame.entries @ cho_solve((chol, True), v)
-        return truth, _verdicts(frame, counts, v, chol @ chol.T, chol, u)
+        return truth, _verdicts(frame, counts, v, chol @ chol.T, chol, linalg)
 
     return _reference_loop(spec, lo, hi, draw)
 
@@ -125,6 +175,9 @@ def _both(spec, lo, hi):
 
 KAPPA1 = dict(m=8, t=16, n=7, snr=2.0)  # 256 trials per block
 KAPPA3 = dict(m=16, t=32, n=5, snr=1.0)  # 256 trials per block
+# Drawn by the half fill; 31 trials per block.
+HALF_FILL_KAPPA1 = dict(m=64, t=128, n=63, snr=0.05)
+HALF_FILL_KAPPA3 = dict(m=64, t=128, n=21, snr=0.1)
 SUBSETS = [d for r in range(1, 6) for d in itertools.combinations(harness.DETECTOR_NAMES, r)]
 
 
@@ -145,6 +198,18 @@ def test_kernel_matches_reference_for_every_detector_set(config, randomize_truth
         counts, discards = harness._trial_counts(sub, params, frame, 0, 300)
         assert counts == {d: ref[d] for d in dets}, dets
         assert discards == ref_discards
+
+
+@pytest.mark.parametrize("config", [KAPPA1, KAPPA3, HALF_FILL_KAPPA3], ids=["m8", "m16", "m64"])
+@pytest.mark.parametrize("loop", [reference_trial_counts, bartlett_reference_counts],
+                         ids=["direct", "bartlett"])
+def test_lapack_reference_loops_match_the_checked_calls(config, loop):
+    spec = harness.ExperimentSpec(trials=150, detectors=harness.DETECTOR_NAMES, seed=12,
+                                  randomize_truth=True, **config)
+    params, frame = _setup(spec)
+    lapack = loop(spec, params, frame, 0, spec.trials)
+    assert sum(lapack[0].values()) > 0
+    assert lapack == loop(spec, params, frame, 0, spec.trials, CHECKED)
 
 
 @pytest.mark.parametrize("config", [
@@ -225,6 +290,19 @@ def test_forced_gram_discards_redraw_at_the_next_attempt(monkeypatch, randomize_
         assert kernel == reference
 
 
+@pytest.mark.parametrize("config", [HALF_FILL_KAPPA1, HALF_FILL_KAPPA3], ids=["kappa1", "kappa3"])
+@pytest.mark.parametrize("forced", [{}, {0: 1, 5: 2, 31: 1, 39: 1}], ids=["clean", "discards"])
+def test_kernel_matches_reference_in_the_half_fill(monkeypatch, config, forced):
+    assert config["m"] >= harness._HALF_FILL_MIN_M
+    _degenerate_streams(monkeypatch, forced)
+    spec = harness.ExperimentSpec(trials=40, seed=21, randomize_truth=True,
+                                  detectors=harness.DETECTOR_NAMES, **config)
+    (counts, discards), (ref_counts, ref_discards) = _both(spec, 0, 40)
+    assert discards == ref_discards == sum(forced.values())
+    assert counts == ref_counts
+    assert all(counts.values()), counts
+
+
 def test_forced_discards_give_up_after_max_attempts(monkeypatch):
     _degenerate_streams(monkeypatch, {5: harness._MAX_ATTEMPTS})
     spec = harness.ExperimentSpec(trials=40, seed=1, **LOW_SNR)
@@ -253,17 +331,20 @@ def test_forced_covariance_discards(monkeypatch):
                 return _ScaledFirstRow(gen, KAPPA3["m"])
             return gen
 
-    whiten = harness.whiten_from_cholesky
-
-    def picky_whiten(frame, chol_g):
-        if np.any(chol_g[..., 0, 0] > 1000.0):
-            raise SingularCovariance("forced")
-        return whiten(frame, chol_g)
+    def picky(whiten):
+        def picky_whiten(frame, chol_g):
+            if np.any(chol_g[..., 0, 0] > 1000.0):
+                raise SingularCovariance("forced")
+            return whiten(frame, chol_g)
+        return picky_whiten
 
     monkeypatch.setattr(harness, "RngStream", LoudStream)
-    monkeypatch.setattr(harness, "whiten_from_cholesky", picky_whiten)
+    monkeypatch.setattr(harness, "whiten_from_cholesky", picky(harness.whiten_from_cholesky))
     spec = harness.ExperimentSpec(trials=260, seed=4, **dict(KAPPA3, detectors=("mf", "ml", "mrdd")))
-    (counts, discards), (ref_counts, ref_discards) = _both(spec, 0, 260)
+    params, frame = _setup(spec)
+    counts, discards = harness._trial_counts(spec, params, frame, 0, 260)
+    ref_counts, ref_discards = bartlett_reference_counts(spec, params, frame, 0, 260,
+                                                         (_cho_solve, picky(_whiten)))
     assert discards == ref_discards == 4
     assert counts == ref_counts
 
