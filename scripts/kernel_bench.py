@@ -25,7 +25,8 @@ conditional law.
 on blocks of ``run``'s size, T = 2M, the BLAS held at one thread) in us per
 trial at M = 8 to 256, under both layouts: the full fill of M^2 + M normals
 and the half fill of M(M-1)/2 + M normals with an array of gamma shapes,
-picked by setting ``harness._HALF_FILL_MIN_M``.  It sets that constant.
+picked by setting ``harness._HALF_FILL_MIN_M``.  That constant's value
+comes from this series.
 
 The results go under one key ("kernel_bench", "threshold" or "fill") of the
 JSON file given by --out; its other keys are kept.

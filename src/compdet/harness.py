@@ -305,14 +305,12 @@ def _worker_count(floats: int, blocks: int, threads: Optional[int]) -> int:
 def _bartlett_work(size: int, params: ModelParams) -> tuple:
     """_draw_bartlett's buffers for blocks of up to size trials, and the constants of its layout.
 
-    (normals, gammas, square, lower, upper, shape): the normal fills, the
-    gamma fills, an M x M buffer per trial, C's strict lower triangle, Z's
-    strict upper mask and the gamma shape.  Below _HALF_FILL_MIN_M the square
-    buffer holds Z's squares, lower is E times the strict lower mask and the
-    shape is one scalar.  From _HALF_FILL_MIN_M on the square buffer holds C,
-    zeroed here once, since the draw writes only its lower triangle; lower
-    is the flat indices of the strict lower triangle, row by row, upper is
-    None and the shape is the array of M shapes.
+    (normals, gammas, square, lower, upper, shape).  In the full fill the M x M
+    square buffer takes Z's squares, lower is E times the strict lower mask,
+    upper the strict upper mask and shape a scalar.  In the half fill square
+    holds C, zeroed once here (the draw writes only its lower triangle),
+    lower is the flat indices of the strict lower triangle, upper is None and
+    shape the array of M shapes.
     """
     m, t = params.m, params.t
     if m >= _HALF_FILL_MIN_M:

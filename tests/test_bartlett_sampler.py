@@ -58,12 +58,12 @@ def _assert_wishart_projection_law(m, t, n, seed):
     params = ModelParams.from_snr(m=m, t=t, snr=1.0)
     spec = harness.ExperimentSpec(m=m, t=t, n=n, snr=1.0, trials=1, detectors=("ml",))
     frame, samples, pair = harness.build_frame_for(spec), 2000, (1, 2)
-    _, chol, _ = harness._draw_bartlett(seed, params, np.arange(samples), 0,
-                                        np.ones(samples, dtype=np.int64),
-                                        harness._bartlett_work(samples, params))
-    columns = harness.whiten_from_cholesky(frame, chol, [pair[0] - 1, pair[1] - 1]).columns
-    d = columns[..., 0] - columns[..., 1]
-    scaled = (d * d).sum(axis=-1) / stats.pair_scale(params.energy, frame, pair)
+    distances = []
+    for chol, _ in _factors(params, seed, samples, block=500):
+        columns = harness.whiten_from_cholesky(frame, chol, [pair[0] - 1, pair[1] - 1]).columns
+        d = columns[..., 0] - columns[..., 1]
+        distances.append((d * d).sum(axis=-1))
+    scaled = np.concatenate(distances) / stats.pair_scale(params.energy, frame, pair)
     critical = stats.ks_critical_value(samples, LEVEL)
     exact = stats.ks_statistic(scaled, lambda x: stats.chi2_cdf(x, params.t - params.m + frame.n))
     wrong = stats.ks_statistic(scaled, lambda x: stats.chi2_cdf(x, params.t - params.m))
@@ -75,8 +75,9 @@ def test_bartlett_factors_give_the_wishart_projection_law():
 
 
 def test_half_fill_factors_give_the_wishart_projection_law():
-    assert 64 >= harness._HALF_FILL_MIN_M
-    _assert_wishart_projection_law(64, 128, 21, 2105)
+    m = 64  # kappa = 3
+    assert m >= harness._HALF_FILL_MIN_M
+    _assert_wishart_projection_law(m, 2 * m, 21, 2105)
 
 
 def test_half_fill_diagonal_sums_to_its_chi2():
