@@ -77,7 +77,7 @@ COMPRESSED = ("ml", "mrdd", "rdd")
 MIN_ERRORS_FOR_EXPONENT = 10
 MAX_DISCARD_FRACTION = 1e-3
 _MAX_ATTEMPTS = 64
-_MAX_BLOCK = 256  # most trials per block; a multiple of rng._KEY_BLOCK
+_MAX_BLOCK = 256  # most trials per block, however small a trial is
 _BLOCK_BYTES = 1 << 20  # memory budget of one block's stacked draws
 # Size of one trial, in numbers, from which a run uses more than one worker:
 # 2T + 2M for the conditional draw, and for Bartlett M^2 + 2M, the numbers

@@ -10,10 +10,12 @@ the direct sides of test_conditional_sampler.py's gates, computed once.
 
 The KS checks test the law of the factor alone: at c3's config, and at a
 kappa = 3 config drawn by the half fill, the whitened pair distance from
-Bartlett factors must follow T - M + N degrees of freedom.  The half fill's
-law gets two more checks, with levels and sizes fixed here: a KS test of
-the diagonal's squared sum, and an exact binomial test of how often
-competitor 2 outscores truth 1.
+Bartlett factors must follow T - M + N degrees of freedom, at SNR 1 and,
+for the half fill, at SNR 4.  The half fill's law gets a KS test of the
+diagonal's squared sum.  Exact binomial tests of how often competitor 2
+outscores truth 1, against Student-t tails, check the mfml, kappa = 1 ml and
+mrdd scores on both fills (M = 8 and M = 256).  Levels and sizes are fixed
+here.
 """
 
 import math
@@ -52,11 +54,11 @@ def _factors(params, seed: int, count: int, block: int = 25):
         yield chol, v
 
 
-def _assert_wishart_projection_law(m, t, n, seed):
+def _assert_wishart_projection_law(m, t, n, seed, snr=1.0):
     # (a_i - a_j)^T (A G^{-1} A^T)^{-1} (a_i - a_j) over Bartlett factors is
     # pair_scale times chi^2_{T-M+N}; T - M is rejected.
-    params = ModelParams.from_snr(m=m, t=t, snr=1.0)
-    spec = harness.ExperimentSpec(m=m, t=t, n=n, snr=1.0, trials=1, detectors=("ml",))
+    params = ModelParams.from_snr(m=m, t=t, snr=snr)
+    spec = harness.ExperimentSpec(m=m, t=t, n=n, snr=snr, trials=1, detectors=("ml",))
     frame, samples, pair = harness.build_frame_for(spec), 2000, (1, 2)
     distances = []
     for chol, _ in _factors(params, seed, samples, block=500):
@@ -80,6 +82,11 @@ def test_half_fill_factors_give_the_wishart_projection_law():
     _assert_wishart_projection_law(m, 2 * m, 21, 2105)
 
 
+def test_half_fill_factors_give_the_wishart_projection_law_at_snr_4():
+    # E = 2, so a factor that misses E on part of C breaks the law.
+    _assert_wishart_projection_law(64, 128, 21, 2105, snr=4.0)
+
+
 def test_half_fill_diagonal_sums_to_its_chi2():
     # sum_i L_ii^2 is chi^2 with sum_i (T - i + 1) = M (2T - M + 1) / 2
     # degrees of freedom, ~98k here.  A shape off by a half in every term
@@ -96,23 +103,57 @@ def test_half_fill_diagonal_sums_to_its_chi2():
     assert exact < critical < wrong, (exact, critical, wrong)
 
 
+def _pair_wins(params, n, seed, trials, block):
+    """How often competitor 2 outscores truth 1, per rule, over Bartlett trials at kappa = 1."""
+    spec = harness.ExperimentSpec(m=params.m, t=params.t, n=n, snr=params.snr, trials=1,
+                                  detectors=("ml",))
+    frame = harness.build_frame_for(spec)
+    wins = {"mfml": 0, "ml": 0, "mrdd": 0}
+    for chol, v in _factors(params, seed, trials, block):
+        energy = np.einsum("bij,bij->bi", chol, chol)
+        g = (chol @ chol.sum(axis=-2)[:, :, None])[:, :, 0]
+        u = frame.apply(harness.cho_solve(chol, v))
+        for rule, scores in (("mfml", v - 0.5 * energy),
+                             ("ml", detectors.full_group_ml_scores(v, g, energy)),
+                             ("mrdd", frame.adjoint(u))):
+            wins[rule] += int(np.count_nonzero(scores[:, 1] > scores[:, 0]))
+    return wins
+
+
+def _t_tail_interval_holds(wins, trials, snr, nu):
+    """Whether P(t_nu > c sqrt(nu)), c^2 = SNR / 2, lies in wins' Clopper-Pearson interval."""
+    p = stdtr(nu, -math.sqrt(snr / 2 * nu))
+    lo, hi = stats.clopper_pearson(wins, trials, 1 - LEVEL)
+    return lo <= p <= hi
+
+
+def _exact_nu(params):
+    """nu per rule: competitor 2 outscores truth 1 with probability P(t_nu > c sqrt(nu)).
+
+    c^2 = SNR / 2; nu = T for the mfml score, T - 1 for kappa = 1 ML, which
+    projects out the all-ones direction, and T - M + 1 for mrdd.  Each is
+    checked by an exact binomial test (the Clopper-Pearson interval at
+    1 - LEVEL).
+    """
+    return {"mfml": params.t, "ml": params.t - 1, "mrdd": params.t - params.m + 1}
+
+
+def test_full_fill_pair_errors_follow_the_t_tail():
+    # 200,000 trials resolve a shift of nu by one, which is rejected.
+    snr, trials = 0.5, 200_000
+    params = ModelParams.from_snr(m=8, t=16, snr=snr)
+    assert params.m < harness._HALF_FILL_MIN_M
+    wins = _pair_wins(params, 7, 2108, trials, block=250)
+    for rule, nu in _exact_nu(params).items():
+        assert _t_tail_interval_holds(wins[rule], trials, snr, nu), (rule, wins[rule], nu)
+        for wrong in (nu - 1, nu + 1):
+            assert not _t_tail_interval_holds(wins[rule], trials, snr, wrong), (rule, wrong)
+
+
 def test_half_fill_pair_errors_follow_the_t_tail():
-    # Competitor 2 outscores truth 1 with probability P(t_nu > c sqrt(nu)),
-    # c^2 = SNR / 2: nu = T for the mfml score, and nu = T - 1 for kappa = 1
-    # ML, which projects out the all-ones direction.  An exact binomial test
-    # (the Clopper-Pearson interval at 1 - LEVEL) over 8,000 trials.
     snr, trials = 0.005, 8000
     params = ModelParams.from_snr(m=256, t=512, snr=snr)
     assert params.m >= harness._HALF_FILL_MIN_M
-    wins = {"mfml": 0, "ml": 0}
-    for chol, v in _factors(params, 2107, trials, block=16):
-        energy = np.einsum("bij,bij->bi", chol, chol)
-        g = (chol @ chol.sum(axis=-2)[:, :, None])[:, :, 0]
-        for rule, scores in (("mfml", v - 0.5 * energy),
-                             ("ml", detectors.full_group_ml_scores(v, g, energy))):
-            wins[rule] += int(np.count_nonzero(scores[:, 1] > scores[:, 0]))
-    c = math.sqrt(snr / 2)
-    for rule, nu in (("mfml", params.t), ("ml", params.t - 1)):
-        p = stdtr(nu, -c * math.sqrt(nu))
-        lo, hi = stats.clopper_pearson(wins[rule], trials, 1 - LEVEL)
-        assert lo <= p <= hi, (rule, wins[rule], p, lo, hi)
+    wins = _pair_wins(params, 255, 2107, trials, block=16)
+    for rule, nu in _exact_nu(params).items():
+        assert _t_tail_interval_holds(wins[rule], trials, snr, nu), (rule, wins[rule], nu)

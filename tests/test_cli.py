@@ -271,8 +271,8 @@ def test_validate_wishart_check_draws_once(monkeypatch):
     monkeypatch.setattr(stats, "sample_pair_distance2", counted)
     ok, detail = cli._check_wishart(0, 2000)
     assert ok and calls == [2000]
-    assert detail == ("KS D=0.0211 (crit 0.0364), mean ratio 1.013, "
-                      "wrong-dof D=0.3362 rejected")
+    assert detail == ("KS D=0.0211 (crit 0.0364), mean ratio 1.008, "
+                      "wrong-dof D=0.3278 rejected")
 
 
 def test_validate_full_feeds_both_checks_from_one_run(monkeypatch, capsys):

@@ -223,6 +223,28 @@ def test_kernel_matches_reference_at_other_block_sizes(config):
     assert kernel == reference
 
 
+@pytest.mark.parametrize("config", [KAPPA1, HALF_FILL_KAPPA3], ids=["m8-full-fill", "m64-half-fill"])
+@pytest.mark.parametrize("randomize_truth", [False, True])
+def test_a_trial_drawn_alone_replays_its_block_draw(config, randomize_truth):
+    # A trial's stream is addressed by its id and attempt alone: drawn in a
+    # one-trial block on fresh buffers, trial k gives the bits it gave inside a
+    # block drawn after other blocks on the same buffers.
+    params, _ = _setup(harness.ExperimentSpec(trials=1, detectors=("ml",), **config))
+    size = 40
+    work = harness._bartlett_work(size, params)
+    truth, one = (None, None) if randomize_truth else (np.ones(size, dtype=np.int64),
+                                                       np.ones(1, dtype=np.int64))
+    for attempt in (0, 1):
+        for start in (0, size, 3 * size):
+            block = harness._draw_bartlett(13, params, np.arange(start, start + size), attempt,
+                                           truth, work)
+        for i in (0, 17, size - 1):
+            alone = harness._draw_bartlett(13, params, np.array([start + i]), attempt, one,
+                                           harness._bartlett_work(1, params))
+            for name, got, want in zip(("truth", "C", "v"), alone, block):
+                assert got[0].tobytes() == want[i].tobytes(), (attempt, i, name)
+
+
 # --- forced discards ---
 
 
