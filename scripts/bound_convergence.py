@@ -31,7 +31,7 @@ def main():
         n = m - 1
         t = round(args.beta * m)
         mu = frames.coherence_bound(m, n)
-        log_upper, log_lower = theory.log_finite_bounds_ml(m, n, t, mu, args.snr)
+        log_upper, log_lower = theory.log_finite_bounds("ml", m, n, t, mu, args.snr)
         exp_lo = -log_upper / m
         exp_hi = -log_lower / m
         emp = ""

@@ -38,54 +38,19 @@ def main():
     os.makedirs(args.out_dir, exist_ok=True)
 
     header = ["axis_value", "exponent_mf", "exponent_ml", "exponent_mrdd"]
-
-    alphas = np.linspace(0.01, 1.0, args.points)
-    write_rows(
-        os.path.join(args.out_dir, "exponents_vs_alpha.csv"),
-        header,
-        [
-            [a, theory.exponent_mf(args.beta, args.snr),
-             theory.exponent_ml(args.beta, a, args.snr),
-             theory.exponent_mrdd(args.beta, a, args.snr)]
-            for a in alphas
-        ],
+    # (file stem, grid, grid value -> (beta, alpha, snr))
+    axes = (
+        ("alpha", np.linspace(0.01, 1.0, args.points), lambda a: (args.beta, a, args.snr)),
+        ("beta", np.linspace(1.0, 4.0, args.points), lambda b: (b, args.alpha, args.snr)),
+        ("snr", np.geomspace(1e-2, 1e2, args.points), lambda s: (args.beta, args.alpha, s)),
+        ("eps", np.linspace(0.01, 1.0, args.points), lambda e: (1 + e, e, args.snr)),
     )
-
-    betas = np.linspace(1.0, 4.0, args.points)
-    write_rows(
-        os.path.join(args.out_dir, "exponents_vs_beta.csv"),
-        header,
-        [
-            [b, theory.exponent_mf(b, args.snr),
-             theory.exponent_ml(b, args.alpha, args.snr),
-             theory.exponent_mrdd(b, args.alpha, args.snr)]
-            for b in betas
-        ],
-    )
-
-    snrs = np.geomspace(1e-2, 1e2, args.points)
-    write_rows(
-        os.path.join(args.out_dir, "exponents_vs_snr.csv"),
-        header,
-        [
-            [s, theory.exponent_mf(args.beta, s),
-             theory.exponent_ml(args.beta, args.alpha, s),
-             theory.exponent_mrdd(args.beta, args.alpha, s)]
-            for s in snrs
-        ],
-    )
-
-    eps = np.linspace(0.01, 1.0, args.points)
-    write_rows(
-        os.path.join(args.out_dir, "exponents_vs_eps.csv"),
-        header,
-        [
-            [e, theory.exponent_mf(1 + e, args.snr),
-             theory.exponent_ml(1 + e, e, args.snr),
-             theory.exponent_mrdd(1 + e, e, args.snr)]
-            for e in eps
-        ],
-    )
+    for name, grid, point in axes:
+        write_rows(
+            os.path.join(args.out_dir, f"exponents_vs_{name}.csv"),
+            header,
+            [[x] + [theory.exponent(rule, *point(x)) for rule in theory.BOUNDED_RULES] for x in grid],
+        )
 
 
 if __name__ == "__main__":

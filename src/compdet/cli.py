@@ -260,14 +260,13 @@ def _theory_only_rows(cfg: dict, axis: str, values) -> list:
             raise ConfigError(f"axis {axis!r} is not available in theory-only mode")
         if s is None:
             raise ConfigError("missing snr for theory-only sweep")
-        entries = [("mfml", theory.exponent_mf(b, s))]
-        if a is not None:
-            entries.append(("ml", theory.exponent_ml(b, a, s)))
-            entries.append(("mrdd", theory.exponent_mrdd(b, a, s)))
-        for det, exp in entries:
+        for det in theory.BOUNDED_RULES:
+            compressed = det in harness.COMPRESSED
+            if compressed and a is None:
+                continue  # without n only the uncompressed rule has an exponent
             rows.append([
-                None, None, None, a if det != "mfml" else None, b, s, det, 0,
-                None, None, None, None, None, exp, None, None, None, None,
+                None, None, None, a if compressed else None, b, s, det, 0,
+                None, None, None, None, None, theory.exponent(det, b, a, s), None, None, None, None,
             ])
     return rows
 

@@ -595,20 +595,10 @@ def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
 
 def _theory_for(spec: ExperimentSpec, detector: str, mu: Optional[float]):
     """(exponent, upper, lower) for one detector, or Nones where undefined."""
-    beta = spec.beta
-    if detector == "mfml":
-        exp = theory.exponent_mf(beta, spec.snr)
-        upper, lower = theory.finite_bounds_mf(spec.m, spec.t, spec.snr, spec.epsilon)
-        return exp, upper, lower
-    if detector == "ml":
-        exp = theory.exponent_ml(beta, spec.alpha, spec.snr)
-        upper, lower = theory.finite_bounds_ml(spec.m, spec.n, spec.t, mu, spec.snr, spec.epsilon)
-        return exp, upper, lower
-    if detector == "mrdd":
-        exp = theory.exponent_mrdd(beta, spec.alpha, spec.snr)
-        upper, lower = theory.finite_bounds_mrdd(spec.m, spec.n, spec.t, mu, spec.snr, spec.epsilon)
-        return exp, upper, lower
-    return None, None, None  # mf, rdd: kept for comparison only, no closed forms
+    if detector not in theory.BOUNDED_RULES:
+        return None, None, None  # mf, rdd: kept for comparison only, no closed forms
+    exp = theory.exponent(detector, spec.beta, spec.alpha, spec.snr)
+    return (exp, *theory.finite_bounds(detector, spec.m, spec.n, spec.t, mu, spec.snr, spec.epsilon))
 
 
 def run(spec: ExperimentSpec, threads: Optional[int] = None) -> ExperimentResult:

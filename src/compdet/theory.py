@@ -8,11 +8,13 @@ alpha = N/M, and SNR:
     compressed ML:                 ((beta-1+alpha)/2) * log(1 + alpha*SNR/2)
     modified RDD:                  ((beta-1)/2)       * log(1 + alpha*SNR/2)
 
-The finite-M evaluators compute the non-asymptotic upper/lower bounds whose
-normalized logarithms converge to these exponents: a union/Gallager bound
-integrated against the chi-squared law of the whitened column distances for
-the upper side, and a Gaussian-tail lower bound with an explicit constant
-c(eps) for the lower side.  Upper values above 1 are vacuous but valid.
+exponent(rule, ...) gives them by detector name (BOUNDED_RULES).  The finite-M
+evaluators finite_bounds and log_finite_bounds read one formula per rule
+(_bound_terms) for the non-asymptotic upper/lower bounds whose normalized
+logarithms converge to these exponents: a union/Gallager bound integrated
+against the chi-squared law of the whitened column distances for the upper
+side, and a Gaussian-tail lower bound with an explicit constant c(eps) for
+the lower side.  Upper values above 1 are vacuous but valid.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from scipy.special import erfc
 from .errors import DomainError
 
 DEFAULT_EPSILON = 0.1
+# The rules with closed forms, named as detectors: "mfml" is ML on the
+# matched-filter outputs, "ml" compressed ML, "mrdd" modified RDD.
+BOUNDED_RULES = ("mfml", "ml", "mrdd")
 
 
 def _require(cond: bool, msg: str):
@@ -63,6 +68,16 @@ def exponent_mrdd(beta: float, alpha: float, snr: float) -> float:
     _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
     _require(snr >= 0, f"snr must be >= 0, got {snr}")
     return ((beta - 1) / 2) * math.log1p(alpha * snr / 2)
+
+
+def exponent(rule: str, beta: float, alpha: float | None, snr: float) -> float:
+    """The error exponent of one of BOUNDED_RULES; "mfml" does not read alpha."""
+    if rule == "mfml":
+        return exponent_mf(beta, snr)
+    if rule == "ml":
+        return exponent_ml(beta, alpha, snr)
+    _require(rule == "mrdd", f"no closed form for rule {rule!r}; have {BOUNDED_RULES}")
+    return exponent_mrdd(beta, alpha, snr)
 
 
 @dataclass(frozen=True)
@@ -124,85 +139,61 @@ def gamma_half_ratio(k: int) -> float:
     return r
 
 
-def _check_bound_args(m: int, t: int, snr: float, epsilon: float):
+def _bound_terms(rule: str, m: int, n: int | None, t: int, mu: float | None, snr: float,
+                 epsilon: float) -> tuple:
+    """(prefactor, upper gain, lower gain, half dof) of one rule's finite-M bounds.
+
+    Each bound reads prefactor * (1 + gain)^{-half dof}, the lower one with the
+    prefactor c(eps).  With alpha = N/M, the gains are alpha SNR (1-mu)/2 and
+    (1+eps) alpha SNR (1+mu)/2, and:
+
+      mfml: (M-1)  and T/2, at alpha = 1, mu = 0 (n and mu are not read);
+      ml:   M      and (T-M+N)/2;
+      mrdd: f(M)   and (T-M)/2, with
+            f(M) = M sqrt(1/(2 pi alpha (1-mu) SNR)) Gamma((T-M)/2)/Gamma((T-M+1)/2),
+            which diverges at T = M or SNR = 0 (a vacuous bound, exponent 0).
+
+    The "mfml" bound belongs to argmax_j (v_j - ||s_j||^2/2) (detectors.detect_mfml),
+    not to the plain argmax_j v_j, which exceeds the upper side at finite M.
+    """
+    _require(rule in BOUNDED_RULES, f"no finite bound for rule {rule!r}; have {BOUNDED_RULES}")
     _require(m >= 2, f"need at least two hypotheses, got {m}")
     _require(t >= m, f"need t >= m, got t={t}, m={m}")
     _require(snr >= 0, f"snr must be >= 0, got {snr}")
     _require(epsilon > 0, f"epsilon must be positive, got {epsilon}")
-
-
-def _check_compressed_args(m: int, n: int, t: int, mu: float, snr: float, epsilon: float):
-    _check_bound_args(m, t, snr, epsilon)
-    _require(1 <= n <= m, f"need 1 <= n <= m, got n={n}, m={m}")
-    _require(0 <= mu < 1, f"coherence must be in [0, 1), got {mu}")
-
-
-def finite_bounds_mf(m: int, t: int, snr: float, epsilon: float = DEFAULT_EPSILON) -> tuple:
-    """(upper, lower) on the error probability of ML on the matched-filter outputs.
-
-    The rule bounded is argmax_j (v_j - ||s_j||^2/2) (detectors.detect_mfml),
-    not the plain argmax_j v_j, which exceeds the upper side at finite M.
-
-    upper = (M-1) (1 + SNR/2)^{-T/2}
-    lower = c(eps) (1 + (1+eps) SNR/2)^{-T/2}
-    """
-    _check_bound_args(m, t, snr, epsilon)
-    upper = (m - 1) * (1 + snr / 2) ** (-t / 2)
-    lower = q_lower_constant(epsilon) * (1 + (1 + epsilon) * snr / 2) ** (-t / 2)
-    return upper, lower
-
-
-def finite_bounds_ml(m: int, n: int, t: int, mu: float, snr: float, epsilon: float = DEFAULT_EPSILON) -> tuple:
-    """(upper, lower) on the compressed-ML error probability at finite M.
-
-    With alpha = N/M and T - M + N chi-squared degrees of freedom:
-    upper = M (1 + alpha SNR (1-mu)/2)^{-(T-M+N)/2}
-    lower = c(eps) (1 + (1+eps) alpha SNR (1+mu)/2)^{-(T-M+N)/2}
-    """
-    _check_compressed_args(m, n, t, mu, snr, epsilon)
-    alpha = n / m
-    half_dof = (t - m + n) / 2
-    upper = m * (1 + alpha * snr * (1 - mu) / 2) ** -half_dof
-    lower = q_lower_constant(epsilon) * (1 + (1 + epsilon) * alpha * snr * (1 + mu) / 2) ** -half_dof
-    return upper, lower
-
-
-def log_finite_bounds_ml(m: int, n: int, t: int, mu: float, snr: float, epsilon: float = DEFAULT_EPSILON) -> tuple:
-    """(log upper, log lower) of finite_bounds_ml, through log1p.
-
-    Finite where those bounds underflow to 0.0 (already at M = 1024, T = 2048, SNR = 2).
-    """
-    _check_compressed_args(m, n, t, mu, snr, epsilon)
-    alpha = n / m
-    half_dof = (t - m + n) / 2
-    log_upper = math.log(m) - half_dof * math.log1p(alpha * snr * (1 - mu) / 2)
-    log_lower = math.log(q_lower_constant(epsilon)) - half_dof * math.log1p(
-        (1 + epsilon) * alpha * snr * (1 + mu) / 2)
-    return log_upper, log_lower
-
-
-def finite_bounds_mrdd(m: int, n: int, t: int, mu: float, snr: float, epsilon: float = DEFAULT_EPSILON) -> tuple:
-    """(upper, lower) on the modified-RDD error probability at finite M.
-
-    The chi-squared reduction here has only T - M degrees of freedom, and the
-    upper bound carries the prefactor
-    f(M) = M sqrt(1/(2 pi alpha (1-mu) SNR)) * Gamma((T-M)/2)/Gamma((T-M+1)/2).
-    At T = M the prefactor diverges and the bound is vacuous (exponent 0).
-    """
-    _check_compressed_args(m, n, t, mu, snr, epsilon)
-    alpha = n / m
-    half_dof = (t - m) / 2
-    if snr == 0:
-        prefactor = math.inf
+    if rule == "mfml":
+        prefactor, half_dof, alpha, mu = m - 1, t / 2, 1, 0
     else:
-        prefactor = (
-            m
-            * math.sqrt(1 / (2 * math.pi * alpha * (1 - mu) * snr))
-            * gamma_half_ratio(t - m)
-        )
-    upper = prefactor * (1 + (1 - mu) * alpha * snr / 2) ** -half_dof
-    lower = q_lower_constant(epsilon) * (1 + (1 + epsilon) * (1 + mu) * alpha * snr / 2) ** -half_dof
-    return upper, lower
+        _require(1 <= n <= m, f"need 1 <= n <= m, got n={n}, m={m}")
+        _require(0 <= mu < 1, f"coherence must be in [0, 1), got {mu}")
+        alpha = n / m
+        if rule == "ml":
+            prefactor, half_dof = m, (t - m + n) / 2
+        else:
+            half_dof = (t - m) / 2
+            prefactor = math.inf if snr == 0 else (
+                m * math.sqrt(1 / (2 * math.pi * alpha * (1 - mu) * snr)) * gamma_half_ratio(t - m))
+    return prefactor, alpha * snr * (1 - mu) / 2, (1 + epsilon) * alpha * snr * (1 + mu) / 2, half_dof
+
+
+def finite_bounds(rule: str, m: int, n: int | None, t: int, mu: float | None, snr: float,
+                  epsilon: float = DEFAULT_EPSILON) -> tuple:
+    """(upper, lower) on the error probability of one of BOUNDED_RULES at finite M.
+
+    Both underflow to 0.0 at large M (the ML pair already at M = 2048, T = 2M,
+    SNR = 2); log_finite_bounds does not.
+    """
+    prefactor, upper_gain, lower_gain, half_dof = _bound_terms(rule, m, n, t, mu, snr, epsilon)
+    return (prefactor * (1 + upper_gain) ** -half_dof,
+            q_lower_constant(epsilon) * (1 + lower_gain) ** -half_dof)
+
+
+def log_finite_bounds(rule: str, m: int, n: int | None, t: int, mu: float | None, snr: float,
+                      epsilon: float = DEFAULT_EPSILON) -> tuple:
+    """(log upper, log lower) of finite_bounds, through log1p; finite where those underflow."""
+    prefactor, upper_gain, lower_gain, half_dof = _bound_terms(rule, m, n, t, mu, snr, epsilon)
+    return (math.log(prefactor) - half_dof * math.log1p(upper_gain),
+            math.log(q_lower_constant(epsilon)) - half_dof * math.log1p(lower_gain))
 
 
 # ---------------------------------------------------------------------------

@@ -361,7 +361,7 @@ def test_mf_bound_holds_for_energy_corrected_decision():
     # independent of the harness's mfml detector, which c6 checks.
     m, t, snr, trials = 8, 32, 2.0, 200_000
     energy = math.sqrt(snr)
-    bound, _ = theory.finite_bounds_mf(m, t, snr)
+    bound, _ = theory.finite_bounds("mfml", m, None, t, None, snr)
     errors = 0
     batch = 4096
     for lo in range(0, trials, batch):

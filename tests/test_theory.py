@@ -56,6 +56,8 @@ def test_exponent_domain_errors():
         theory.exponent_ml(2, 1.5, 1)
     with pytest.raises(DomainError):
         theory.exponent_mrdd(2, 0.5, -1)
+    with pytest.raises(DomainError):
+        theory.exponent("mf", 2, 0.5, 1)  # plain argmax: no closed form
 
 
 def test_exponent_ordering_grid():
@@ -210,30 +212,30 @@ def test_gamma_half_ratio_gautschi_sandwich():
 # --- finite-M bounds ---
 
 def test_finite_bounds_ml_values():
-    upper, lower = theory.finite_bounds_ml(8, 7, 16, 1 / 7, 2.0, epsilon=1.0)
+    upper, lower = theory.finite_bounds("ml", 8, 7, 16, 1 / 7, 2.0, epsilon=1.0)
     assert abs(upper - 0.12031080200126874) < 1e-15
     c1 = theory.q_lower_constant(1.0)
     assert abs(lower - c1 * 3.0**-7.5) < 1e-15
     # default-epsilon lower bound, frozen from direct evaluation
-    _, lower01 = theory.finite_bounds_ml(8, 7, 16, 1 / 7, 2.0)
+    _, lower01 = theory.finite_bounds("ml", 8, 7, 16, 1 / 7, 2.0)
     assert abs(lower01 - 0.0007281530249817637) < 1e-15
 
 
 def test_finite_bounds_ml_zero_snr():
-    upper, lower = theory.finite_bounds_ml(8, 7, 16, 1 / 7, 0.0)
+    upper, lower = theory.finite_bounds("ml", 8, 7, 16, 1 / 7, 0.0)
     assert upper == 8.0
     assert abs(lower - theory.q_lower_constant(0.1)) < 1e-15
 
 
 def test_finite_bounds_mrdd_values():
-    upper, _ = theory.finite_bounds_mrdd(8, 7, 16, 1 / 7, 2.0)
+    upper, _ = theory.finite_bounds("mrdd", 8, 7, 16, 1 / 7, 2.0)
     f8 = 8 * math.sqrt(1 / (2 * math.pi * (7 / 8) * (6 / 7) * 2.0)) * theory.gamma_half_ratio(8)
     assert abs(upper - f8 * 1.75**-4) < 1e-15
     assert abs(f8 - 1.3441923545521788) < 1e-12
 
 
 def test_finite_bounds_mrdd_beta_one_vacuous():
-    upper, lower = theory.finite_bounds_mrdd(8, 7, 8, 1 / 7, 2.0)
+    upper, lower = theory.finite_bounds("mrdd", 8, 7, 8, 1 / 7, 2.0)
     assert upper == math.inf  # prefactor diverges, exponential factor is 1
     assert abs(lower - theory.q_lower_constant(0.1)) < 1e-15
 
@@ -243,7 +245,7 @@ def test_finite_bounds_mrdd_zero_coherence_collapse():
     # once the lower-bound slack epsilon is taken to zero.
     m, n, t, snr = 8, 7, 16, 2.0
     alpha = n / m
-    upper, lower = theory.finite_bounds_mrdd(m, n, t, 0.0, snr, epsilon=1e-12)
+    upper, lower = theory.finite_bounds("mrdd", m, n, t, 0.0, snr, epsilon=1e-12)
     factor = (1 + alpha * snr / 2) ** (-(t - m) / 2)
     f_m = m * math.sqrt(1 / (2 * math.pi * alpha * snr)) * theory.gamma_half_ratio(t - m)
     assert abs(upper - f_m * factor) < 1e-12
@@ -251,31 +253,33 @@ def test_finite_bounds_mrdd_zero_coherence_collapse():
 
 
 def test_finite_bounds_mf_values():
-    upper, _ = theory.finite_bounds_mf(2, 2, 2.0)
+    upper, _ = theory.finite_bounds("mfml", 2, None, 2, None, 2.0)
     assert abs(upper - 0.5) < 1e-15
-    upper, _ = theory.finite_bounds_mf(8, 32, 0.0)
+    upper, _ = theory.finite_bounds("mfml", 8, None, 32, None, 0.0)
     assert upper == 7.0
-    upper, _ = theory.finite_bounds_mf(8, 32, 2.0)
+    upper, _ = theory.finite_bounds("mfml", 8, None, 32, None, 2.0)
     assert abs(upper - 7 * 2.0**-16) < 1e-18
 
 
 def test_finite_bounds_domain_errors():
     with pytest.raises(DomainError):
-        theory.finite_bounds_ml(8, 7, 7, 0.1, 1.0)
+        theory.finite_bounds("ml", 8, 7, 7, 0.1, 1.0)
     with pytest.raises(DomainError):
-        theory.finite_bounds_ml(8, 7, 16, 1.0, 1.0)
+        theory.finite_bounds("ml", 8, 7, 16, 1.0, 1.0)
     with pytest.raises(DomainError):
-        theory.finite_bounds_mrdd(8, 7, 16, -0.1, 1.0)
+        theory.finite_bounds("mrdd", 8, 7, 16, -0.1, 1.0)
     with pytest.raises(DomainError):
-        theory.finite_bounds_mf(8, 32, 1.0, epsilon=0.0)
+        theory.finite_bounds("mfml", 8, None, 32, None, 1.0, epsilon=0.0)
+    with pytest.raises(DomainError):
+        theory.finite_bounds("rdd", 8, 7, 16, 0.1, 1.0)
 
 
 def test_bound_point_orders_pairs():
     for snr in (0.5, 2.0, 8.0):
         for upper, lower in (
-            theory.finite_bounds_ml(16, 5, 32, 0.6, snr),
-            theory.finite_bounds_mrdd(16, 5, 32, 0.6, snr),
-            theory.finite_bounds_mf(16, 32, snr),
+            theory.finite_bounds("ml", 16, 5, 32, 0.6, snr),
+            theory.finite_bounds("mrdd", 16, 5, 32, 0.6, snr),
+            theory.finite_bounds("mfml", 16, None, 32, None, snr),
         ):
             if upper <= 1:
                 assert lower <= upper
@@ -290,7 +294,7 @@ def test_bound_exponent_converges_to_ml_exponent():
     for m in (8, 16, 32, 64, 128, 256, 512, 1024):
         n = m - 1
         mu = frames.coherence_bound(m, n)
-        upper, _ = theory.finite_bounds_ml(m, n, int(beta * m), mu, snr)
+        upper, _ = theory.finite_bounds("ml", m, n, int(beta * m), mu, snr)
         e = -math.log(upper) / m
         assert e > prev
         prev = e
@@ -299,16 +303,32 @@ def test_bound_exponent_converges_to_ml_exponent():
     assert all(g > 0 for g in gaps)
 
 
-def test_log_finite_bounds_ml_match_and_survive_underflow():
+@pytest.mark.parametrize("rule, m_underflow", [("mfml", 2048), ("ml", 2048), ("mrdd", 4096)])
+def test_log_finite_bounds_match_and_survive_underflow(rule, m_underflow):
     for m, n, t, mu, snr in ((8, 7, 16, 1 / 7, 2.0), (16, 5, 32, 0.6, 0.5), (64, 63, 128, 1 / 63, 4.0)):
-        upper, lower = theory.finite_bounds_ml(m, n, t, mu, snr)
-        log_upper, log_lower = theory.log_finite_bounds_ml(m, n, t, mu, snr)
+        upper, lower = theory.finite_bounds(rule, m, n, t, mu, snr)
+        log_upper, log_lower = theory.log_finite_bounds(rule, m, n, t, mu, snr)
         assert abs(log_upper - math.log(upper)) < 1e-12 * max(1.0, abs(log_upper))
         assert abs(log_lower - math.log(lower)) < 1e-12 * max(1.0, abs(log_lower))
-    # At M = 2048, T = 2M, SNR = 2 both power-form bounds underflow to 0.0.
-    assert theory.finite_bounds_ml(2048, 2047, 4096, 1 / 2047, 2.0) == (0.0, 0.0)
-    log_upper, log_lower = theory.log_finite_bounds_ml(2048, 2047, 4096, 1 / 2047, 2.0)
+    # At M = m_underflow, T = 2M, SNR = 2 both power-form bounds underflow to 0.0
+    # (mRDD's (T-M)/2 degrees of freedom keep it above 0.0 at M = 2048).
+    m = m_underflow
+    assert theory.finite_bounds(rule, m, m - 1, 2 * m, 1 / (m - 1), 2.0) == (0.0, 0.0)
+    log_upper, log_lower = theory.log_finite_bounds(rule, m, m - 1, 2 * m, 1 / (m - 1), 2.0)
     assert math.isfinite(log_upper) and math.isfinite(log_lower) and log_lower < log_upper < -700
+
+
+@pytest.mark.parametrize("rule", theory.BOUNDED_RULES)
+@pytest.mark.parametrize("log2_m", [12, 16, 20])
+def test_log_bound_window_brackets_exponent_at_large_m(rule, log2_m):
+    # kappa = 1, beta = 2, SNR = 4: the window -(1/M) log(upper, lower) is finite
+    # far past the power forms' underflow and holds the closed-form exponent.
+    m = 2**log2_m
+    n, t, snr = m - 1, 2 * m, 4.0
+    log_upper, log_lower = theory.log_finite_bounds(rule, m, n, t, frames.coherence_bound(m, n), snr)
+    lo, hi = -log_upper / m, -log_lower / m
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert lo <= theory.exponent(rule, t / m, n / m, snr) <= hi
 
 
 def test_bound_convergence_script_reaches_m_4096(tmp_path):
@@ -330,3 +350,26 @@ def test_bound_convergence_script_reaches_m_4096(tmp_path):
         lo, hi = float(r["exp_from_upper"]), float(r["exp_from_lower"])
         assert math.isfinite(lo) and math.isfinite(hi)
         assert lo <= theory.exponent_ml(2.0, 1.0, 2.0) <= hi
+
+
+def test_exponent_curves_script_smoke(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "exponent_curves.py"), "--points", "5",
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # Each axis value maps to (beta, alpha, snr) around the defaults beta=2, alpha=0.5, SNR=4.
+    points = {"alpha": lambda x: (2.0, x, 4.0), "beta": lambda x: (x, 0.5, 4.0),
+              "snr": lambda x: (2.0, 0.5, x), "eps": lambda x: (1 + x, x, 4.0)}
+    for axis, point in points.items():
+        with (tmp_path / f"exponents_vs_{axis}.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        for r in rows:
+            e_mf, e_ml, e_mrdd = (float(r[f"exponent_{k}"]) for k in ("mf", "ml", "mrdd"))
+            assert e_mf >= e_ml >= e_mrdd >= 0
+            assert [e_mf, e_ml, e_mrdd] == [theory.exponent(rule, *point(float(r["axis_value"])))
+                                            for rule in theory.BOUNDED_RULES]
