@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Time in-process ``harness.run`` in ms/trial, for a change against its parent.
+"""Time in-process ``harness.run`` and ``compdet frame`` runs, for a change against its parent.
 
     python scripts/kernel_bench.py --parent ../parent-checkout --rounds 3 --out BENCH_20.json
     python scripts/kernel_bench.py --threshold --rounds 4 --out BENCH_20.json
     python scripts/kernel_bench.py --fill --rounds 4 --out BENCH_21.json
+    python scripts/kernel_bench.py --frames --parent ../parent-checkout --rounds 5 --out BENCH_27.json
 
 The default mode times five configs at worker caps None/1/2/4 (``run``'s
 ``threads``), each measurement in a fresh interpreter that imports compdet
@@ -28,8 +29,13 @@ and the half fill of M(M-1)/2 + M normals with an array of gamma shapes,
 picked by setting ``harness._HALF_FILL_MIN_M``.  That constant's value
 comes from this series.
 
-The results go under one key ("kernel_bench", "threshold" or "fill") of the
-JSON file given by --out; its other keys are kept.
+--frames times one ``compdet frame --m M --n N`` process end to end, from
+its start to its exit, with its peak RSS, for this tree against --parent,
+alternated as above: (M, N) = (2^10, 1023), (2^16, 65535), (2^16, 257),
+(2^20, 2^20 - 1) and (2^20, 341).
+
+The results go under one key ("kernel_bench", "threshold", "fill" or
+"frames") of the JSON file given by --out; its other keys are kept.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -69,6 +76,11 @@ THRESHOLD_CONFIGS = [
 
 # M and the trials of one --fill measurement.
 FILL_CONFIGS = [(8, 40000), (16, 40000), (32, 20000), (64, 10000), (128, 3000), (256, 1000)]
+
+
+# (M, N) of the --frames series: kappa = 1 and a large kappa at M = 2^16 and 2^20.
+FRAME_SIZES = [(1 << 10, 1023), (1 << 16, 65535), (1 << 16, 257), (1 << 20, (1 << 20) - 1),
+               (1 << 20, 341)]
 
 
 def draws(m: int, t: int, n) -> int:
@@ -124,6 +136,20 @@ def child(tree: Path, script: str, *args) -> float:
     return float(proc.stdout.strip().splitlines()[-1])
 
 
+def frame_process(tree: Path, m: int, n: int) -> tuple:
+    """(wall s, peak RSS MB) of one ``compdet frame`` process with compdet from tree's src."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "compdet.cli", "frame", "--m", str(m),
+                             "--n", str(n)], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
 def measure(tree: Path, spec: dict, trials: int, threads, lower: bool = False) -> float:
     return child(tree, _MEASURE, spec, trials, threads, lower)
 
@@ -159,6 +185,23 @@ def compare(parent: Path, rounds: int) -> dict:
         [x["ms_per_trial"] for x in runs
          if x["config"] == name and x["threads"] == threads and x["side"] == side])
         for side in sides} for name in CONFIGS for threads in THREADS}
+    return {"parent": str(parent), "runs": runs, "medians": medians}
+
+
+def frame_series(parent: Path, rounds: int) -> dict:
+    sides = {"parent": parent, "change": ROOT}
+    runs = []
+    for r in range(rounds):
+        order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+        for m, n in FRAME_SIZES:
+            for side in order:
+                wall, rss = frame_process(sides[side], m, n)
+                runs.append({"round": r, "m": m, "n": n, "side": side, "wall_s": wall,
+                             "peak_rss_mb": rss})
+                print(f"round {r} M={m} N={n} {side}: {wall:.3f} s, {rss:.1f} MB", file=sys.stderr)
+    medians = {f"M={m} N={n} {metric}": {side: summary(
+        [x[metric] for x in runs if (x["m"], x["n"], x["side"]) == (m, n, side)])
+        for side in sides} for m, n in FRAME_SIZES for metric in ("wall_s", "peak_rss_mb")}
     return {"parent": str(parent), "runs": runs, "medians": medians}
 
 
@@ -202,6 +245,8 @@ def main():
                         help="time one worker against one per core around the threshold")
     parser.add_argument("--fill", action="store_true",
                         help="time the Bartlett stage's full and half fills at M = 8 to 256")
+    parser.add_argument("--frames", action="store_true",
+                        help="time compdet frame processes at M = 2^10 to 2^20 against --parent")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
     args = parser.parse_args()
@@ -211,6 +256,8 @@ def main():
         key, result = "fill", fill(args.rounds)
     elif args.parent is None:
         parser.error("--parent is required unless --threshold or --fill is given")
+    elif args.frames:
+        key, result = "frames", frame_series(args.parent.resolve(), args.rounds)
     else:
         key, result = "kernel_bench", compare(args.parent.resolve(), args.rounds)
     result = {"command": " ".join(["python", "scripts/kernel_bench.py"] + sys.argv[1:]),

@@ -430,7 +430,9 @@ def _add_common_flags(sub):
     sub.add_argument("--threads", type=int, help=THREADS_HELP)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The compdet parser, built once per process; each parse_args call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="compdet",
         description="Detection with compressed matched-filter statistics: "

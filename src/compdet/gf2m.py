@@ -4,12 +4,21 @@ Elements are plain ints interpreted as polynomial-basis coordinate vectors:
 bit i of the mask is the coefficient of x^i.  All arithmetic is carried out
 modulo a fixed irreducible reduction polynomial, so the nonzero elements form
 a cyclic multiplicative group of order 2^r - 1.
+
+Scalar operations (``mul``, ``power``, ``trace``) take and return ints.  The
+frame builders ``subgroup`` and ``trace_masks`` return lists of ints too, but
+compute them as int64 arrays: the subgroup by doubling, each round one
+carry-less multiply of an array by a field element (r shift/xor/reduce
+steps), and the masks from the GF(2)-linear map a -> w_a, a table of all 2^r
+masks built by XOR doubling from the r basis images, then one gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import FieldError, NotADivisor
 
@@ -142,18 +151,53 @@ def trace(ctx: FieldCtx, x: int) -> int:
     return acc
 
 
-def trace_masks(ctx: FieldCtx, elems) -> list:
-    """Masks w_a with Tr(a*x) = parity(w_a & x) for all x; bit i of w_a is Tr(a*x^i)."""
+def _mul_array(ctx: FieldCtx, a: np.ndarray, b: int) -> np.ndarray:
+    """Field products a*b of an int64 array of elements by one element."""
     r, poly = ctx.r, ctx.reduction_poly
+    acc = np.zeros_like(a)
+    a = a.copy()
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        if b:  # a -> a*x: shift, then clear bit r with the reduction polynomial
+            a <<= 1
+            a ^= (a >> r) * poly
+    return acc
+
+
+def _element_array(ctx: FieldCtx, elems) -> np.ndarray:
+    """The elements as a 1-D int64 array; FieldError unless each is an int in range."""
+    arr = np.asarray(elems)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise FieldError(f"elements of GF(2^{ctx.r}) must be a sequence of ints, "
+                         f"got an array of dtype {arr.dtype} and shape {arr.shape}")
+    bad = np.flatnonzero((arr < 0) | (arr >= ctx.order))
+    if bad.size:
+        raise FieldError(f"{arr[bad[0]].item()!r} is not an element of GF(2^{ctx.r})")
+    return arr.astype(np.int64, copy=False)
+
+
+def trace_masks(ctx: FieldCtx, elems) -> list:
+    """Masks w_a with Tr(a*x) = parity(w_a & x) for all x; bit i of w_a is Tr(a*x^i).
+
+    a -> w_a is GF(2)-linear, and the image of x^j has bit i equal to
+    Tr(x^(i+j)), so the r basis images come from the trace sequence
+    Tr(x^k), k < 2r - 1; every mask is an XOR of basis images.
+    """
+    r, poly = ctx.r, ctx.reduction_poly
+    arr = _element_array(ctx, elems)
     tmask = sum(trace(ctx, 1 << i) << i for i in range(r))  # Tr(z) = parity(z & tmask)
-    masks = []
-    for a in map(ctx.check, elems):
-        w = 0
-        for i in range(r):  # a -> a*x by one shift-and-reduce
-            w |= ((a & tmask).bit_count() & 1) << i
-            a = (a << 1) ^ (poly if a >> (r - 1) & 1 else 0)
-        masks.append(w)
-    return masks
+    seq, z = 0, 1
+    for k in range(2 * r - 1):  # bit k of seq is Tr(x^k); z -> z*x by one shift-and-reduce
+        seq |= ((z & tmask).bit_count() & 1) << k
+        z = (z << 1) ^ (poly if z >> (r - 1) & 1 else 0)
+    table = np.zeros(1 << r, dtype=np.int64)
+    for j in range(r):  # masks of the elements below 2^(j+1) from those below 2^j
+        table[1 << j:2 << j] = table[:1 << j] ^ (seq >> j & ((1 << r) - 1))
+    masks = table[arr]
+    del arr, table  # the list of N ints is the peak; free the arrays before it
+    return masks.tolist()
 
 
 @lru_cache(maxsize=None)
@@ -203,10 +247,10 @@ def subgroup(ctx: FieldCtx, n: int) -> list:
     if n < 1 or q % n != 0:
         raise NotADivisor(f"subgroup size {n} does not divide {q}")
     y = power(ctx, find_generator(ctx), q // n)
-    elems = []
-    cur = 1
-    for _ in range(n):
-        cur = mul(ctx, cur, y)
-        elems.append(cur)
-    return elems
-
+    elems = np.empty(n, dtype=np.int64)
+    elems[0] = y
+    k = 1
+    while k < n:  # [y^(k+1), ..., y^(2k)] = [y, ..., y^k] * y^k
+        elems[k:2 * k] = _mul_array(ctx, elems[:min(k, n - k)], int(elems[k - 1]))
+        k *= 2
+    return elems.tolist()

@@ -116,6 +116,29 @@ def test_simulate_bytes_identical_across_threads(tmp_path, args):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def _run_alone(args) -> str:
+    """stdout of one compdet call in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "compdet.cli", *args], capture_output=True,
+                          text=True, timeout=120, env=env, check=True)
+    return proc.stdout
+
+
+def test_second_call_in_a_process_keeps_no_flag_of_the_first(tmp_path, capsys):
+    # The parser is built once per process; each call parses into a fresh namespace.
+    def first(out):
+        return SIM_ARGS + ["--randomize-truth", "--out", str(out)]
+
+    assert run_cli(first(tmp_path / "first.csv")) == 0
+    first_stdout = capsys.readouterr().out
+    assert run_cli(SIM_ARGS) == 0
+    second_stdout = capsys.readouterr().out
+    assert first_stdout == _run_alone(first(tmp_path / "first_alone.csv"))
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "first_alone.csv").read_bytes()
+    assert second_stdout == _run_alone(SIM_ARGS)
+    assert second_stdout.startswith(GOLDEN_HEADER)
+
+
 def test_simulate_mf_only_leaves_compression_columns_empty(tmp_path):
     out = tmp_path / "mf.csv"
     args = ["simulate", "--m", "8", "--t", "16", "--snr", "2", "--trials", "100",

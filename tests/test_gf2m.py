@@ -174,6 +174,58 @@ def test_subgroup_matches_root_set(r, n):
     assert set(elems) == roots
 
 
+# --- array builds against the scalar loops ---
+
+def scalar_subgroup(ctx, n):
+    """[y, y^2, ..., y^n] by one field product per element."""
+    y = gf2m.power(ctx, gf2m.find_generator(ctx), (ctx.order - 1) // n)
+    elems, cur = [], 1
+    for _ in range(n):
+        cur = gf2m.mul(ctx, cur, y)
+        elems.append(cur)
+    return elems
+
+
+def scalar_trace_masks(ctx, elems):
+    """Bit i of w_a is Tr(a x^i) = parity(a x^i & tmask), stepping a -> a x per bit."""
+    r, poly = ctx.r, ctx.reduction_poly
+    tmask = sum(gf2m.trace(ctx, 1 << i) << i for i in range(r))
+    masks = []
+    for a in elems:
+        w = 0
+        for i in range(r):
+            w |= ((a & tmask).bit_count() & 1) << i
+            a = (a << 1) ^ (poly if a >> (r - 1) & 1 else 0)
+        masks.append(w)
+    return masks
+
+
+def _field_cases():
+    for r in range(2, 13):
+        q = (1 << r) - 1
+        yield from ((r, n) for n in range(1, q + 1) if q % n == 0)
+    yield 16, (1 << 16) - 1
+
+
+@pytest.mark.parametrize("r,n", list(_field_cases()))
+def test_array_builds_match_the_scalar_loops(r, n):
+    ctx = gf2m.FieldCtx.standard(r)
+    elems = gf2m.subgroup(ctx, n)
+    assert type(elems) is list and all(type(a) is int for a in elems)
+    assert elems == scalar_subgroup(ctx, n)
+    masks = gf2m.trace_masks(ctx, elems)
+    assert type(masks) is list and all(type(w) is int for w in masks)
+    assert masks == scalar_trace_masks(ctx, elems)
+
+
+@pytest.mark.parametrize("bad", [16, -1, 1.5, "3"])
+def test_trace_masks_rejects_non_elements(bad):
+    with pytest.raises(FieldError):
+        gf2m.trace_masks(GF16, [1, bad])
+    with pytest.raises(FieldError):
+        gf2m.trace_masks(GF16, [bad])
+
+
 def test_subgroup_rejects_non_divisor():
     with pytest.raises(NotADivisor):
         gf2m.subgroup(GF8, 4)
