@@ -1,7 +1,9 @@
 """Command-line interface: frame construction, simulation, sweeps, validation.
 
 Exit codes: 0 success, 1 numerical or validation failure, 2 configuration
-error, 3 constructibility error (M not a power of two in 4..2^20, N not dividing M-1).
+error, 3 constructibility error from frame (M not a power of two in 4..2^20, N
+not dividing M-1).  simulate and sweep check the same M and N as part of their
+configuration, and exit 2 for them.
 
 All randomized output is a pure function of (config, seed); CSV files are
 byte-identical across runs and thread counts.
@@ -17,15 +19,7 @@ import sys
 from typing import Optional
 
 from . import frames, gf2m, harness, stats, theory
-from .errors import (
-    CompdetError,
-    ConfigError,
-    DomainError,
-    NotADivisor,
-    NumericalFailure,
-    SingularCovariance,
-    SingularGram,
-)
+from .errors import CompdetError, ConfigError, DomainError, NotADivisor
 from .model import ModelParams
 from .rng import RngStream
 
@@ -476,9 +470,6 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularGram, SingularCovariance, NumericalFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except CompdetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

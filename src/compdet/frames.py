@@ -19,8 +19,9 @@ costs 2M(2^r1 + 2^r2) flops instead of the 2NM of a dense product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -68,29 +69,13 @@ def _walsh(z: np.ndarray, m: int, n: int) -> np.ndarray:
     return (z @ h2).reshape(z.shape[:-2] + (m,))
 
 
-class _DenseView:
-    """Frame.entries: kept as given, or built from the masks on first read and kept."""
-
-    def __get__(self, frame, owner=None):
-        if frame is not None and frame.__dict__["entries"] is None:
-            # Narrow dtypes keep the N x M temporaries at 2 bytes and 1 byte an entry.
-            x = np.arange(frame.m, dtype=np.min_scalar_type(frame.m - 1))
-            signs = 1 - 2 * (np.bitwise_count(frame.masks.astype(x.dtype)[:, None] & x) & 1).astype(np.int8)
-            entries = signs / math.sqrt(frame.n)
-            entries.setflags(write=False)
-            frame.__dict__["entries"] = entries
-        return self if frame is None else frame.__dict__["entries"]
-
-    def __set__(self, frame, entries):
-        frame.__dict__["entries"] = None if entries is self else entries  # self: the field default
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frame:
     """A column-normalized N x M group frame, stored as its N row masks.
 
     Row i is the Walsh row (-1)^parity(masks[i] & x) / sqrt(N); adjoint and
-    apply use the masks, and entries is that matrix, built densely on first read.
+    apply use the masks.  entries is that matrix as given to the constructor,
+    or built densely from the masks on first read.
     """
 
     m: int
@@ -98,7 +83,23 @@ class Frame:
     mu: float
     kappa: int
     masks: np.ndarray
-    entries: np.ndarray = field(default=_DenseView(), repr=False)
+
+    def __init__(self, m: int, n: int, mu: float, kappa: int, masks: np.ndarray,
+                 entries: Optional[np.ndarray] = None):
+        # Frozen: the fields, and given entries, go straight into the instance dict.
+        self.__dict__.update(m=m, n=n, mu=mu, kappa=kappa, masks=masks)
+        if entries is not None:
+            self.__dict__["entries"] = entries
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense N x M matrix, read-only."""
+        # Narrow dtypes keep the N x M temporaries at 2 bytes and 1 byte an entry.
+        x = np.arange(self.m, dtype=np.min_scalar_type(self.m - 1))
+        signs = 1 - 2 * (np.bitwise_count(self.masks.astype(x.dtype)[:, None] & x) & 1).astype(np.int8)
+        entries = signs / math.sqrt(self.n)
+        entries.setflags(write=False)
+        return entries
 
     @property
     def alpha(self) -> float:
@@ -139,7 +140,7 @@ def build_group_hadamard(ctx: gf2m.FieldCtx, n: int) -> Frame:
     if n < 1 or (m - 1) % n != 0:
         raise NotADivisor(f"row count {n} does not divide M-1 = {m - 1}")
 
-    masks = np.array(gf2m.trace_masks(ctx, gf2m.subgroup(ctx, n)), dtype=np.intp)
+    masks = np.asarray(gf2m.trace_masks(ctx, gf2m.subgroup(ctx, n)), dtype=np.intp)
     masks.setflags(write=False)
     # H_M of the mask counts is each column's integer sign sum, exact in floats.
     # Column 0 is all ones, so N * g_0k, the sum of column k, covers every g_jk = g_0(j^k).

@@ -6,11 +6,11 @@ modulo a fixed irreducible reduction polynomial, so the nonzero elements form
 a cyclic multiplicative group of order 2^r - 1.
 
 Scalar operations (``mul``, ``power``, ``trace``) take and return ints.  The
-frame builders ``subgroup`` and ``trace_masks`` return lists of ints too, but
-compute them as int64 arrays: the subgroup by doubling, each round one
-carry-less multiply of an array by a field element (r shift/xor/reduce
-steps), and the masks from the GF(2)-linear map a -> w_a, a table of all 2^r
-masks built by XOR doubling from the r basis images, then one gather.
+frame builders ``subgroup`` and ``trace_masks`` return int64 arrays: the
+subgroup by doubling, each round one carry-less multiply of an array by a
+field element (r shift/xor/reduce steps), and the masks from the GF(2)-linear
+map a -> w_a, a table of all 2^r masks built by XOR doubling from the r basis
+images, then one gather.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def _element_array(ctx: FieldCtx, elems) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def trace_masks(ctx: FieldCtx, elems) -> list:
-    """Masks w_a with Tr(a*x) = parity(w_a & x) for all x; bit i of w_a is Tr(a*x^i).
+def trace_masks(ctx: FieldCtx, elems) -> np.ndarray:
+    """Int64 array of masks w_a, Tr(a*x) = parity(w_a & x) for all x; bit i of w_a is Tr(a*x^i).
 
     a -> w_a is GF(2)-linear, and the image of x^j has bit i equal to
     Tr(x^(i+j)), so the r basis images come from the trace sequence
@@ -195,9 +195,7 @@ def trace_masks(ctx: FieldCtx, elems) -> list:
     table = np.zeros(1 << r, dtype=np.int64)
     for j in range(r):  # masks of the elements below 2^(j+1) from those below 2^j
         table[1 << j:2 << j] = table[:1 << j] ^ (seq >> j & ((1 << r) - 1))
-    masks = table[arr]
-    del arr, table  # the list of N ints is the peak; free the arrays before it
-    return masks.tolist()
+    return table[arr]
 
 
 @lru_cache(maxsize=None)
@@ -237,10 +235,10 @@ def find_generator(ctx: FieldCtx) -> int:
     raise FieldError("no generator found; reduction polynomial is not irreducible")
 
 
-def subgroup(ctx: FieldCtx, n: int) -> list:
-    """The unique multiplicative subgroup of size ``n``, as [y, y^2, ..., y^n].
+def subgroup(ctx: FieldCtx, n: int) -> np.ndarray:
+    """The unique multiplicative subgroup of size ``n``, as the int64 array [y, y^2, ..., y^n].
 
-    ``n`` must divide 2^r - 1.  The last element is always 1, and the list is
+    ``n`` must divide 2^r - 1.  The last element is always 1, and the array is
     deterministic for a fixed context because the generator search is.
     """
     q = ctx.order - 1
@@ -253,4 +251,4 @@ def subgroup(ctx: FieldCtx, n: int) -> list:
     while k < n:  # [y^(k+1), ..., y^(2k)] = [y, ..., y^k] * y^k
         elems[k:2 * k] = _mul_array(ctx, elems[:min(k, n - k)], int(elems[k - 1]))
         k *= 2
-    return elems.tolist()
+    return elems

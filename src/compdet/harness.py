@@ -25,12 +25,13 @@ projected out (detectors.full_group_ml_scores), computed from G 1, 1^T G 1
 and diag G without whitening.  u itself is formed only when a rule reads it
 (mrdd, rdd, whitened ML).
 
-Trials run in blocks (_block_verdicts, _conditional_verdicts): each trial
-draws from its own stream into stacked arrays, and every later step runs
-once over the stack, through the same BLAS/LAPACK call per trial as a lone
-trial would make, so the verdicts do not depend on the block size.  Trials
-are keyed by stream id, so the result is a pure function of (spec, seed) and
-is identical for any worker count or execution order.
+Trials run in blocks through one kernel (_block_verdicts), whose draw
+stage is Bartlett or conditional: each trial draws from its own stream into
+stacked arrays (_fill_streams, shared by both stages), and every later step
+runs once over the stack, through the same BLAS/LAPACK call per trial as a
+lone trial would make, so the verdicts do not depend on the block size.
+Trials are keyed by stream id, so the result is a pure function of (spec,
+seed) and is identical for any worker count or execution order.
 
 run hands whole blocks to a pool of worker threads (_trial_counts), one per
 core unless its threads argument caps them.  Each worker draws and
@@ -321,6 +322,24 @@ def _bartlett_work(size: int, params: ModelParams) -> tuple:
             params.energy * np.tri(m, k=-1), np.triu(np.ones((m, m)), 1), (t - m + 1) / 2)
 
 
+def _fill_streams(seed, m: int, trials: np.ndarray, attempt: int, truth, normals, gammas, shape):
+    """Each trial's draws from its stream RngStream(seed, trial) at attempt; returns truth.
+
+    In stream order: the truth in 1..m when truth is None, then one fill of
+    the trial's row of normals, then its row of gammas when shape is not None.
+    """
+    draws_truth = truth is None
+    truth = np.empty(len(trials), dtype=np.int64) if draws_truth else truth
+    for i, trial in enumerate(trials.tolist()):
+        gen = RngStream(seed, trial).generator(attempt)
+        if draws_truth:
+            truth[i] = gen.integers(1, m + 1)
+        gen.standard_normal(out=normals[i])
+        if shape is not None:
+            gen.standard_gamma(shape, out=gammas[i])
+    return truth
+
+
 def _draw_bartlett(seed, params, trials: np.ndarray, attempt: int, truth, work):
     """(truth, C, v) for a block of trials, all at one attempt, with G = C C^T.
 
@@ -347,14 +366,7 @@ def _draw_bartlett(seed, params, trials: np.ndarray, attempt: int, truth, work):
     b, m = len(trials), params.m
     normals, gammas, square, lower, upper, shape = work
     normals, gammas, square = normals[:b], gammas[:b], square[:b]
-    draws_truth = truth is None
-    truth = np.empty(b, dtype=np.int64) if draws_truth else truth
-    for i, trial in enumerate(trials.tolist()):
-        gen = RngStream(seed, trial).generator(attempt)
-        if draws_truth:
-            truth[i] = gen.integers(1, m + 1)
-        gen.standard_normal(out=normals[i])
-        gen.standard_gamma(shape, out=gammas[i])
+    truth = _fill_streams(seed, m, trials, attempt, truth, normals, gammas, shape)
     gammas *= 2.0
     if upper is None:  # the half fill
         packed, w = normals[:, :-m], normals[:, -m:]
@@ -376,51 +388,6 @@ def _draw_bartlett(seed, params, trials: np.ndarray, attempt: int, truth, work):
     return truth, chol, (chol @ x[:, :, None])[:, :, 0]
 
 
-def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
-    """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
-
-    The trials are drawn by _draw_bartlett, and frame is not None.  work is
-    _bartlett_work's, with room for at least len(trials) trials.  failed is
-    None, or the mask of the trials that failed (and verdicts is empty): a
-    factor with a zero or non-finite diagonal (a singular Gram), or, for
-    whitened ML, a singular compressed covariance.
-    """
-    dets, b = spec.detectors, len(trials)
-    truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
-    truth, chol, v = _draw_bartlett(spec.seed, params, trials, attempt, truth, work)
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    singular = ~((diag > 0) & (diag < np.inf)).all(axis=-1)
-    if singular.any():
-        return truth, {}, singular
-
-    verdicts = {}
-    if "mf" in dets:
-        verdicts["mf"] = detect_mf(v)
-    whitened = "ml" in dets and frame.kappa != 1
-    if "mfml" in dets or ("ml" in dets and not whitened):
-        energy = np.einsum("bij,bij->bi", chol, chol)  # diag G: C's squared row norms
-    if "mfml" in dets:
-        verdicts["mfml"] = detect_mfml(v, energy)
-    if "ml" in dets and not whitened:
-        g = (chol @ chol.sum(axis=-2)[:, :, None])[:, :, 0]  # G 1 = C (C^T 1)
-        verdicts["ml"] = detect_ml_full_group(v, g, energy)
-    if whitened:
-        try:
-            wf = whiten_from_cholesky(frame, chol)
-        except SingularCovariance:
-            failed = _failures(lambda c: whiten_from_cholesky(frame, c), chol, SingularCovariance)
-            return truth, {}, failed
-    if whitened or "mrdd" in dets or "rdd" in dets:
-        u = frame.apply(cho_solve(chol, v))
-        if whitened:
-            verdicts["ml"] = detect_ml_whitened(wf, u)
-        if "mrdd" in dets:
-            verdicts["mrdd"] = detect_mrdd(frame, u)
-        if "rdd" in dets:
-            verdicts["rdd"] = detect_rdd(frame, u)
-    return truth, verdicts, None
-
-
 def _draw_conditional(seed, params, trials: np.ndarray, attempt: int, truth, energies: bool,
                       work):
     """(truth, v, column energies or None) for a block of trials, from their law given y.
@@ -434,15 +401,8 @@ def _draw_conditional(seed, params, trials: np.ndarray, attempt: int, truth, ene
     """
     b, m, t = len(trials), params.m, params.t
     normals, gammas = (buf[:b] for buf in work)
-    draws_truth = truth is None
-    truth = np.empty(b, dtype=np.int64) if draws_truth else truth
-    for i, trial in enumerate(trials.tolist()):
-        gen = RngStream(seed, trial).generator(attempt)
-        if draws_truth:
-            truth[i] = gen.integers(1, m + 1)
-        gen.standard_normal(out=normals[i])
-        if energies:
-            gen.standard_gamma((t - 1) / 2, out=gammas[i])
+    truth = _fill_streams(seed, m, trials, attempt, truth, normals, gammas,
+                          (t - 1) / 2 if energies else None)
     own, y, others = normals[:, :t], normals[:, t:2 * t], normals[:, 2 * t:]
     own *= params.energy
     y *= params.sigma
@@ -466,17 +426,55 @@ def _draw_conditional(seed, params, trials: np.ndarray, attempt: int, truth, ene
     return truth, columns(np.einsum("bt,bt->b", own, y), others), energy
 
 
-def _conditional_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
-    """(truth, {detector: verdicts}, None) for a block of mf/mfml trials (_draw_conditional)."""
+def _block_verdicts(spec, params, frame, trials: np.ndarray, attempt: int, work):
+    """(truth, {detector: verdicts}, failed) for a block of trials, all at one attempt.
+
+    The trials are drawn by _draw_conditional when frame is None, and by
+    _draw_bartlett otherwise; work is that draw's buffers, with room for at
+    least len(trials) trials.  mf and mfml read (v, energy) from either draw.
+    failed is None, or the mask of the trials that failed (and verdicts is
+    empty): a factor with a zero or non-finite diagonal (a singular Gram), or,
+    for whitened ML, a singular compressed covariance.
+    """
     dets, b = spec.detectors, len(trials)
     truth = None if spec.randomize_truth else np.ones(b, dtype=np.int64)
-    truth, v, energy = _draw_conditional(spec.seed, params, trials, attempt, truth,
-                                         "mfml" in dets, work)
+    if frame is None:
+        truth, v, energy = _draw_conditional(spec.seed, params, trials, attempt, truth,
+                                             "mfml" in dets, work)
+    else:
+        truth, chol, v = _draw_bartlett(spec.seed, params, trials, attempt, truth, work)
+        diag = np.diagonal(chol, axis1=-2, axis2=-1)
+        singular = ~((diag > 0) & (diag < np.inf)).all(axis=-1)
+        if singular.any():
+            return truth, {}, singular
+        whitened = "ml" in dets and frame.kappa != 1
+        if "mfml" in dets or ("ml" in dets and not whitened):
+            energy = np.einsum("bij,bij->bi", chol, chol)  # diag G: C's squared row norms
+
     verdicts = {}
     if "mf" in dets:
         verdicts["mf"] = detect_mf(v)
     if "mfml" in dets:
         verdicts["mfml"] = detect_mfml(v, energy)
+    if frame is None:
+        return truth, verdicts, None
+    if "ml" in dets and not whitened:
+        g = (chol @ chol.sum(axis=-2)[:, :, None])[:, :, 0]  # G 1 = C (C^T 1)
+        verdicts["ml"] = detect_ml_full_group(v, g, energy)
+    if whitened:
+        try:
+            wf = whiten_from_cholesky(frame, chol)
+        except SingularCovariance:
+            failed = _failures(lambda c: whiten_from_cholesky(frame, c), chol, SingularCovariance)
+            return truth, {}, failed
+    if whitened or "mrdd" in dets or "rdd" in dets:
+        u = frame.apply(cho_solve(chol, v))
+        if whitened:
+            verdicts["ml"] = detect_ml_whitened(wf, u)
+        if "mrdd" in dets:
+            verdicts["mrdd"] = detect_mrdd(frame, u)
+        if "rdd" in dets:
+            verdicts["rdd"] = detect_rdd(frame, u)
     return truth, verdicts, None
 
 
@@ -523,14 +521,13 @@ def _block_counts(spec, params, frame, trials: np.ndarray, work, counts: dict) -
     from its next attempt's stream; the rest of its block is evaluated again
     at the same attempt, which replays the same draws.
     """
-    kernel = _block_verdicts if frame is not None else _conditional_verdicts
     discards = 0
     pending = [(trials, 0)]
     while pending:
         trials, attempt = pending.pop()
         if attempt == _MAX_ATTEMPTS:
             raise NumericalFailure(f"trial {trials[0]} failed {_MAX_ATTEMPTS} redraw attempts")
-        truth, verdicts, failed = kernel(spec, params, frame, trials, attempt, work)
+        truth, verdicts, failed = _block_verdicts(spec, params, frame, trials, attempt, work)
         if failed is not None:
             discards += int(failed.sum())
             pending.append((trials[failed], attempt + 1))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from compdet import cli, gf2m, harness, stats
+from compdet.errors import NumericalFailure, SingularCovariance, SingularGram
 
 GOLDEN_HEADER = (
     "m,n,t,alpha,beta,snr,detector,trials,errors,p_hat,ci_lo,ci_hi,"
@@ -50,6 +51,11 @@ def test_frame_rejects_non_divisor(capsys):
     assert run_cli(["frame", "--m", "16", "--n", "6"]) == 3
     assert "divide" in capsys.readouterr().err
     assert run_cli(["frame", "--m", "8", "--n", "0"]) == 3
+    # simulate checks the same N as part of its configuration.
+    args = ["simulate", "--m", "16", "--t", "32", "--n", "6", "--snr", "1", "--trials", "1",
+            "--detectors", "ml"]
+    assert run_cli(args) == cli.EXIT_CONFIG
+    assert "divide" in capsys.readouterr().err
 
 
 def test_frame_rejects_field_order_above_max_degree(capsys):
@@ -167,6 +173,16 @@ def test_simulate_rejects_field_order_above_max_degree(capsys):
             "--detectors", "ml"]
     assert run_cli(args) == cli.EXIT_CONFIG
     assert "power of two" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [SingularGram, SingularCovariance, NumericalFailure])
+def test_simulate_exits_1_on_a_numerical_failure(monkeypatch, capsys, error):
+    def failing_run(spec, threads=None):
+        raise error("forced")
+
+    monkeypatch.setattr(harness, "run", failing_run)
+    assert run_cli(SIM_ARGS) == cli.EXIT_NUMERICAL == 1
+    assert capsys.readouterr().err == "error: forced\n"
 
 
 def test_simulate_full_precision_floats(tmp_path):

@@ -1,5 +1,6 @@
 """Sensing-frame construction and geometry tests."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -102,7 +103,7 @@ def oracle_entries(m, n):
     ctx = gf2m.FieldCtx.standard(m.bit_length() - 1)
     tr = [gf2m.trace(ctx, x) for x in range(m)]
     signs = np.empty((n, m))
-    for i, a in enumerate(gf2m.subgroup(ctx, n)):
+    for i, a in enumerate(gf2m.subgroup(ctx, n).tolist()):
         for x in range(m):
             signs[i, x] = -1.0 if tr[gf2m.mul(ctx, a, x)] else 1.0
     return signs / math.sqrt(n)
@@ -262,8 +263,9 @@ def test_operator_at_large_m_against_mask_rows_and_columns(r):
         entries_row = walsh_signs(masks[row] & np.arange(m)) / math.sqrt(n)
         assert abs(a_x[row] - entries_row @ x) <= 1e-11
         # The mask is row a's character: parity(w_a & x) = Tr(a x).
+        a = int(elems[row])
         for col in rng.choice(m, size=4, replace=False).tolist():
-            assert (int(masks[row]) & col).bit_count() % 2 == gf2m.trace(ctx, gf2m.mul(ctx, elems[row], col))
+            assert (int(masks[row]) & col).bit_count() % 2 == gf2m.trace(ctx, gf2m.mul(ctx, a, col))
 
 
 def test_row_orthonormality_error_flags_a_repeated_mask(monkeypatch):
@@ -284,9 +286,21 @@ def test_row_orthonormality_error_flags_a_repeated_mask(monkeypatch):
 def test_dense_entries_are_built_on_first_read_only():
     frame = build(1024, 341)
     assert "masks=" in repr(frame)
-    assert frame.__dict__["entries"] is None
+    assert "entries" not in frame.__dict__
     entries = frame.entries
     assert frame.entries is entries and not entries.flags.writeable
+
+
+def test_replace_builds_no_dense_matrix():
+    # replace copies the fields; the dense view of this frame would take 34 GB.
+    frame = build(1 << 16, (1 << 16) - 1)
+    moved = dataclasses.replace(frame, mu=0.5)
+    assert "entries" not in frame.__dict__ and "entries" not in moved.__dict__
+    assert moved.mu == 0.5 and moved.masks is frame.masks
+    # Entries given to the constructor are the frame's dense view.
+    small = build(64, 21)
+    entries = np.array(small.entries)
+    assert dataclasses.replace(small, entries=entries).entries is entries
 
 
 def test_concurrent_first_reads_build_equal_entries():

@@ -177,7 +177,7 @@ def test_pair_scale_builds_no_dense_matrix():
     # At kappa = 1 every pair of distinct columns has g_ij = -1/N.
     frame = frames.build_group_hadamard(gf2m.FieldCtx.standard(10), 1023)
     scale = stats.pair_scale(1.0, frame, (1, 2))
-    assert frame.__dict__["entries"] is None
+    assert "entries" not in frame.__dict__
     assert scale == pytest.approx(2.0 * frame.alpha * (1.0 + 1.0 / 1023), rel=1e-12)
 
 

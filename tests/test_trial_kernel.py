@@ -223,25 +223,48 @@ def test_kernel_matches_reference_at_other_block_sizes(config):
     assert kernel == reference
 
 
-@pytest.mark.parametrize("config", [KAPPA1, HALF_FILL_KAPPA3], ids=["m8-full-fill", "m64-half-fill"])
+def _bartlett_draw(config):
+    """(draw(trials, attempt, truth, work), work of a size, output names) of the Bartlett stage."""
+    params = ModelParams.from_snr(config["m"], config["t"], config["snr"])
+    return (functools.partial(harness._draw_bartlett, 13, params),
+            lambda size: harness._bartlett_work(size, params), ("truth", "C", "v"))
+
+
+def _conditional_draw(energies):
+    """The same for the conditional stage at M=256, T=512, with or without column energies."""
+    params = ModelParams.from_snr(256, 512, 0.03)
+    m, t = params.m, params.t
+
+    def draw(trials, attempt, truth, work):
+        return harness._draw_conditional(13, params, trials, attempt, truth, energies, work)
+
+    return (draw, lambda size: (np.empty((size, 2 * t + m - 1)), np.empty((size, m - 1))),
+            ("truth", "v", "energy"))
+
+
+@pytest.mark.parametrize("stage", [
+    lambda: _bartlett_draw(KAPPA1), lambda: _bartlett_draw(HALF_FILL_KAPPA3),
+    lambda: _conditional_draw(False), lambda: _conditional_draw(True),
+], ids=["m8-full-fill", "m64-half-fill", "m256-conditional", "m256-conditional-energies"])
 @pytest.mark.parametrize("randomize_truth", [False, True])
-def test_a_trial_drawn_alone_replays_its_block_draw(config, randomize_truth):
+def test_a_trial_drawn_alone_replays_its_block_draw(stage, randomize_truth):
     # A trial's stream is addressed by its id and attempt alone: drawn in a
     # one-trial block on fresh buffers, trial k gives the bits it gave inside a
     # block drawn after other blocks on the same buffers.
-    params, _ = _setup(harness.ExperimentSpec(trials=1, detectors=("ml",), **config))
+    draw, work_for, names = stage()
     size = 40
-    work = harness._bartlett_work(size, params)
+    work = work_for(size)
     truth, one = (None, None) if randomize_truth else (np.ones(size, dtype=np.int64),
                                                        np.ones(1, dtype=np.int64))
     for attempt in (0, 1):
         for start in (0, size, 3 * size):
-            block = harness._draw_bartlett(13, params, np.arange(start, start + size), attempt,
-                                           truth, work)
+            block = draw(np.arange(start, start + size), attempt, truth, work)
         for i in (0, 17, size - 1):
-            alone = harness._draw_bartlett(13, params, np.array([start + i]), attempt, one,
-                                           harness._bartlett_work(1, params))
-            for name, got, want in zip(("truth", "C", "v"), alone, block):
+            alone = draw(np.array([start + i]), attempt, one, work_for(1))
+            for name, got, want in zip(names, alone, block):
+                if want is None:  # no energies drawn
+                    assert got is None, name
+                    continue
                 assert got[0].tobytes() == want[i].tobytes(), (attempt, i, name)
 
 
