@@ -12,6 +12,7 @@ byte-identical across runs and thread counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -36,9 +37,22 @@ CSV_COLUMNS = (
     "bound_upper", "bound_lower", "seed", "discarded",
 )
 
-CONFIG_KEYS = {
-    "m", "t", "n", "snr", "trials", "detectors", "seed", "epsilon",
-    "ci_level", "randomize_truth", "output_path", "threads", "format",
+# Every setting of simulate and sweep, with its JSON type: ExperimentSpec's
+# fields, the CSV path and the worker cap.  Each has one flag and one config
+# key; null in a config file, like an absent flag, leaves the setting unset.
+SETTINGS = {
+    "m": "an integer", "t": "an integer", "snr": "a number", "trials": "an integer",
+    "n": "an integer", "detectors": "a string or an array",
+    "seed": "a non-negative integer", "epsilon": "a number", "ci_level": "a number",
+    "randomize_truth": "a boolean", "output_path": "a string", "threads": "an integer",
+}
+_IS_TYPE = {
+    "an integer": lambda v: type(v) is int,
+    "a non-negative integer": lambda v: type(v) is int and v >= 0,
+    "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
+    "a string or an array": lambda v: type(v) in (str, list),
+    "a boolean": lambda v: type(v) is bool,
 }
 
 
@@ -93,70 +107,49 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: expected a flat JSON object")
-    unknown = sorted(set(raw) - CONFIG_KEYS)
+    unknown = sorted(set(raw) - set(SETTINGS))
     if unknown:
         raise ConfigError(f"config file {path}: unknown keys {unknown}")
     return raw
 
 
-def _parse_detectors(value) -> tuple:
-    if isinstance(value, str):
-        return tuple(part.strip() for part in value.split(",") if part.strip())
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    raise ConfigError(f"detectors must be a comma list or array, got {value!r}")
+def _flag(key: str) -> str:
+    return "--out" if key == "output_path" else "--" + key.replace("_", "-")
 
 
-def _merged_config(args) -> dict:
-    """Config file values with command-line flags taking precedence.
+def _settings(args) -> tuple:
+    """(values, sources) of the settings that flags or the config file set, flags first.
 
-    Tracks where each setting came from so validation errors can name the
-    offending source; stored under the reserved "_sources" key.
+    Each value is checked against its JSON type in SETTINGS; sources names
+    where each came from, so that errors can name the offending one.
     """
-    cfg = _load_config(args.config)
-    sources = {key: f"config file {args.config}" for key in cfg}
-    flag_map = {
-        "m": args.m, "t": args.t, "n": args.n, "snr": args.snr,
-        "trials": args.trials, "detectors": args.detectors, "seed": args.seed,
-        "epsilon": args.epsilon, "ci_level": args.ci_level,
-        "randomize_truth": args.randomize_truth,
-        "output_path": args.out, "threads": args.threads,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            cfg[key] = value
-            sources[key] = f"--{key.replace('_', '-')} flag"
-    if cfg.get("format", "csv") != "csv":
-        raise ConfigError(f"unsupported output format {cfg.get('format')!r} (only csv)")
-    cfg["_sources"] = sources
-    return cfg
+    path = getattr(args, "config", None)
+    from_file = _load_config(path)
+    values, sources = {}, {}
+    for key, kind in SETTINGS.items():
+        flag = getattr(args, key, None)
+        value, source = ((flag, f"{_flag(key)} flag") if flag is not None
+                         else (from_file.get(key), f"config file {path}"))
+        if value is None:
+            continue
+        if not _IS_TYPE[kind](value):
+            raise ConfigError(f"{source}: {key} must be {kind}, got {json.dumps(value)}")
+        values[key], sources[key] = value, source
+    return values, sources
 
 
-def _threads(cfg: dict):
-    """The worker cap from --threads or the config file; None for one worker per core."""
-    threads = cfg.get("threads")
-    return None if threads is None else int(threads)
-
-
-def _spec_from_config(cfg: dict) -> harness.ExperimentSpec:
-    sources = cfg.get("_sources", {})
-    for key in ("m", "t", "snr", "trials"):
-        if cfg.get(key) is None:
-            raise ConfigError(f"missing required setting {key!r} (flag or config file)")
-    detectors = _parse_detectors(cfg.get("detectors", "mf"))
+def _spec(settings: dict, sources: dict) -> harness.ExperimentSpec:
+    """The experiment the settings give; the spec's defaults fill the unset fields."""
+    fields = dataclasses.fields(harness.ExperimentSpec)
+    for field in fields:
+        if field.default is dataclasses.MISSING and field.name not in settings:
+            raise ConfigError(f"missing required setting {field.name!r} (flag or config file)")
+    given = {field.name: settings[field.name] for field in fields if field.name in settings}
+    if isinstance(given.get("detectors"), str):
+        given["detectors"] = tuple(part.strip() for part in given["detectors"].split(",")
+                                   if part.strip())
     try:
-        return harness.ExperimentSpec(
-            m=int(cfg["m"]),
-            t=int(cfg["t"]),
-            snr=float(cfg["snr"]),
-            trials=int(cfg["trials"]),
-            n=None if cfg.get("n") is None else int(cfg["n"]),
-            detectors=detectors,
-            seed=int(cfg.get("seed", 0)),
-            epsilon=float(cfg.get("epsilon", theory.DEFAULT_EPSILON)),
-            ci_level=float(cfg.get("ci_level", 0.95)),
-            randomize_truth=bool(cfg.get("randomize_truth", False)),
-        )
+        return harness.ExperimentSpec(**given)
     except ConfigError as exc:
         provenance = ", ".join(f"{k} from {v}" for k, v in sorted(sources.items()))
         suffix = f" [settings: {provenance}]" if provenance else ""
@@ -193,11 +186,10 @@ def _summarize(result: harness.ExperimentResult, stream=None):
 
 def cmd_frame(args) -> int:
     m, n = args.m, args.n
-    if m < 4 or m & (m - 1) or m > 1 << gf2m.MAX_DEGREE:
-        print(f"error: M must be a power of two in 4..2^{gf2m.MAX_DEGREE}, got {m}", file=sys.stderr)
-        return EXIT_CONSTRUCT
-    if n < 1 or (m - 1) % n != 0:
-        print(f"error: N must divide M-1, got N={n}, M-1={m - 1}", file=sys.stderr)
+    try:
+        frames.check_shape(m, n)
+    except (DomainError, NotADivisor) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCT
     ctx = gf2m.FieldCtx.standard(m.bit_length() - 1)
     frame = frames.build_group_hadamard(ctx, n)
@@ -215,10 +207,9 @@ def cmd_frame(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _merged_config(args)
-    spec = _spec_from_config(cfg)
-    result = harness.run(spec, threads=_threads(cfg))
-    out = cfg.get("output_path")
+    settings, sources = _settings(args)
+    result = harness.run(_spec(settings, sources), threads=settings.get("threads"))
+    out = settings.get("output_path")
     _write_csv(_result_rows(result), out)
     if out is not None:
         _summarize(result)
@@ -232,24 +223,24 @@ def _parse_values(raw: str) -> list:
         raise ConfigError(f"could not parse sweep values {raw!r}: {exc}") from exc
 
 
-def _theory_only_rows(cfg: dict, axis: str, values) -> list:
+def _theory_only_rows(settings: dict, axis: str, values) -> list:
     """Exponent-only sweep rows on a dense grid; nothing is simulated."""
     for key in ("m", "t"):
-        if cfg.get(key) is None:
+        if key not in settings:
             raise ConfigError(f"theory-only sweeps need {key!r} to fix the base point")
-    m, t = int(cfg["m"]), int(cfg["t"])
-    beta = t / m
-    alpha = (int(cfg["n"]) / m) if cfg.get("n") is not None else None
-    snr = float(cfg["snr"]) if cfg.get("snr") is not None else None
+    m = settings["m"]
+    beta = settings["t"] / m
+    alpha = settings["n"] / m if "n" in settings else None
+    snr = settings.get("snr")
     rows = []
     for value in values:
         b, a, s = beta, alpha, snr
         if axis == "alpha":
-            a = float(value)
+            a = value
         elif axis == "beta":
-            b = float(value)
+            b = value
         elif axis == "snr":
-            s = float(value)
+            s = value
         else:
             raise ConfigError(f"axis {axis!r} is not available in theory-only mode")
         if s is None:
@@ -266,20 +257,20 @@ def _theory_only_rows(cfg: dict, axis: str, values) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merged_config(args)
+    settings, sources = _settings(args)
     values = _parse_values(args.values)
     if not values:
         raise ConfigError("sweep requires at least one axis value")
     if args.theory_only:
-        rows = _theory_only_rows(cfg, args.axis, values)
-        _write_csv(rows, cfg.get("output_path"))
+        rows = _theory_only_rows(settings, args.axis, values)
+        _write_csv(rows, settings.get("output_path"))
         return EXIT_OK
-    base = _spec_from_config(cfg)
-    results = harness.sweep(base, args.axis, values, threads=_threads(cfg))
+    results = harness.sweep(_spec(settings, sources), args.axis, values,
+                            threads=settings.get("threads"))
     rows = []
     for result in results:
         rows.extend(_result_rows(result))
-    out = cfg.get("output_path")
+    out = settings.get("output_path")
     _write_csv(rows, out)
     if out is not None:
         for result in results:
@@ -359,11 +350,9 @@ def _ordering_run(seed: int, quick: bool, threads: Optional[int]) -> harness.Exp
                          ("mfml", "ml", "mrdd"), threads)
 
 
-def _check_ordering(seed: int, quick: bool, threads: Optional[int], result=None) -> tuple:
+def _check_ordering(result: harness.ExperimentResult) -> tuple:
     # The paper's order, ML on v (mfml) <= ML <= MRDD, at a config where every
     # rule errs often; too few errors fail the check instead of passing it.
-    if result is None:
-        result = _ordering_run(seed, quick, threads)
     stats_ = result.per_detector
     widths = {k: stats_[k].ci[1] - stats_[k].ci[0] for k in stats_}
     p = {k: stats_[k].p_hat for k in stats_}
@@ -376,9 +365,8 @@ def _check_ordering(seed: int, quick: bool, threads: Optional[int], result=None)
 
 
 def cmd_validate(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    quick = args.quick
-    threads = args.threads
+    settings, _ = _settings(args)
+    seed, quick, threads = settings.get("seed", 0), args.quick, settings.get("threads")
     ordering_run = functools.cache(lambda: _ordering_run(seed, quick, threads))
     # In full mode the ordering run has the sandwich's config and seed, and so
     # its draws: one run feeds both checks.  --quick orders at a lower SNR.
@@ -388,7 +376,7 @@ def cmd_validate(args) -> int:
         ("frame-geometry", lambda: _check_frame_geometry((8, 16) if quick else (8, 16, 32, 64))),
         ("wishart-projection-ks", lambda: _check_wishart(seed, 800 if quick else 2000)),
         ("bound-sandwich", lambda: _check_sandwich(sandwich_run())),
-        ("detector-ordering", lambda: _check_ordering(seed, quick, threads, ordering_run())),
+        ("detector-ordering", lambda: _check_ordering(ordering_run())),
     ]
     all_ok = True
     for name, check in checks:
@@ -407,21 +395,21 @@ THREADS_HELP = ("most worker threads (default: one per core); results do not dep
                 "else 2T+2M) run on one")
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="flat JSON config file; flags take precedence")
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--t", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--snr", type=float)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--detectors", help="comma list from mf (plain argmax of v, no closed "
-                     "forms), mfml (ML on v, with the MF exponent and bound), ml, mrdd, rdd")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--ci-level", dest="ci_level", type=float)
-    sub.add_argument("--randomize-truth", dest="randomize_truth", action="store_const", const=True)
-    sub.add_argument("--out", help="CSV output path (stdout when omitted)")
-    sub.add_argument("--threads", type=int, help=THREADS_HELP)
+_FLAG_HELP = {
+    "detectors": "comma list from mf (plain argmax of v, no closed forms), mfml (ML on v, "
+                 "with the MF exponent and bound), ml, mrdd, rdd",
+    "output_path": "CSV output path (stdout when omitted)",
+    "threads": THREADS_HELP,
+}
+_FLAG_PARSE = {"an integer": {"type": int}, "a non-negative integer": {"type": int},
+               "a number": {"type": float}, "a boolean": {"action": "store_const", "const": True}}
+
+
+def _add_setting_flags(sub, keys):
+    """One flag per setting, parsed by the setting's JSON type; a string flag is kept as given."""
+    for key in keys:
+        sub.add_argument(_flag(key), dest=key, help=_FLAG_HELP.get(key),
+                         **_FLAG_PARSE.get(SETTINGS[key], {}))
 
 
 @functools.cache
@@ -441,11 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_frame.set_defaults(func=cmd_frame)
 
     p_sim = subs.add_parser("simulate", help="run one Monte Carlo experiment")
-    _add_common_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
-
     p_sweep = subs.add_parser("sweep", help="run experiments along one parameter axis")
-    _add_common_flags(p_sweep)
+    for sub in (p_sim, p_sweep):
+        sub.add_argument("--config", help="flat JSON config file; flags take precedence")
+        _add_setting_flags(sub, SETTINGS)
     p_sweep.add_argument("--axis", required=True, choices=harness.SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma list of axis values")
     p_sweep.add_argument("--theory-only", dest="theory_only", action="store_true",
@@ -453,9 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = subs.add_parser("validate", help="run the built-in validation suite")
-    p_val.add_argument("--seed", type=int)
+    _add_setting_flags(p_val, ("seed", "threads"))
     p_val.add_argument("--quick", action="store_true", help="m <= 16 subset, runs in seconds")
-    p_val.add_argument("--threads", type=int, help=THREADS_HELP)
     p_val.set_defaults(func=cmd_validate)
     return parser
 
@@ -464,9 +451,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotADivisor,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCT
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

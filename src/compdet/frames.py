@@ -128,17 +128,26 @@ def _coherence_of(entries: np.ndarray) -> float:
     return float(off.max())
 
 
+def check_shape(m: int, n: int):
+    """Raises unless the group frame with N rows and M columns exists.
+
+    M must be a power of two in 4..2^gf2m.MAX_DEGREE (DomainError), then N at
+    least 1 and a divisor of M - 1 (NotADivisor), checked in that order.
+    """
+    if m < 4 or m & (m - 1) or m > 1 << gf2m.MAX_DEGREE:
+        raise DomainError(f"M must be a power of two in 4..2^{gf2m.MAX_DEGREE}, got {m}")
+    if n < 1 or (m - 1) % n:
+        raise NotADivisor(f"N must be at least 1 and divide M-1, got N={n}, M-1={m - 1}")
+
+
 def build_group_hadamard(ctx: gf2m.FieldCtx, n: int) -> Frame:
     """Construct the N x M column-normalized group Hadamard frame.
 
-    Requires the field order M = 2^r to be at least 4 and N to divide M - 1.
-    The column for the zero element is the constant vector 1/sqrt(N).
+    Requires the field order M = 2^r and N to pass check_shape.  The column
+    for the zero element is the constant vector 1/sqrt(N).
     """
     m = ctx.order
-    if m < 4:
-        raise DomainError(f"field order {m} is below the minimum of 4")
-    if n < 1 or (m - 1) % n != 0:
-        raise NotADivisor(f"row count {n} does not divide M-1 = {m - 1}")
+    check_shape(m, n)
 
     masks = np.asarray(gf2m.trace_masks(ctx, gf2m.subgroup(ctx, n)), dtype=np.intp)
     masks.setflags(write=False)
@@ -163,10 +172,7 @@ def coherence_bound(m: int, n: int) -> float:
     (1/kappa) * ((kappa-1) * sqrt((kappa + 1/N)/N) + 1/N); at kappa = 1 it
     collapses to 1/N, which the full-group frame attains exactly.
     """
-    if m < 4 or m & (m - 1):
-        raise DomainError(f"column count {m} is not a power of two >= 4")
-    if n < 1 or (m - 1) % n != 0:
-        raise NotADivisor(f"row count {n} does not divide M-1 = {m - 1}")
+    check_shape(m, n)
     kappa = (m - 1) // n
     return ((kappa - 1) * math.sqrt((kappa + 1 / n) / n) + 1 / n) / kappa
 

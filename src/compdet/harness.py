@@ -64,7 +64,7 @@ from .detectors import (
     detect_mf, detect_mfml, detect_ml_full_group, detect_ml_whitened, detect_mrdd, detect_rdd,
     whiten_from_cholesky,
 )
-from .errors import ConfigError, DomainError, NumericalFailure, SingularCovariance
+from .errors import ConfigError, DomainError, NotADivisor, NumericalFailure, SingularCovariance
 from .model import ModelParams, gram_cholesky, gram_matrix
 from .rng import RngStream
 from .stats import clopper_pearson
@@ -138,10 +138,10 @@ class ExperimentSpec:
         if needs_frame and self.n is None:
             raise ConfigError("compressed detectors (ml/mrdd/rdd) require n")
         if self.n is not None:
-            if self.m < 4 or self.m & (self.m - 1) or self.m > 1 << gf2m.MAX_DEGREE:
-                raise ConfigError(f"m must be a power of two in 4..2^{gf2m.MAX_DEGREE} when n is set, got {self.m}")
-            if (self.m - 1) % self.n != 0:
-                raise ConfigError(f"n must divide m-1, got n={self.n}, m-1={self.m - 1}")
+            try:
+                frames.check_shape(self.m, self.n)
+            except (DomainError, NotADivisor) as exc:
+                raise ConfigError(str(exc)) from exc
             if self.n < 2:
                 raise ConfigError("n=1 gives a frame with coherence 1; detection is impossible")
         if not 0 < self.ci_level < 1:
@@ -320,6 +320,12 @@ def _bartlett_work(size: int, params: ModelParams) -> tuple:
                 (t - np.arange(m)) / 2)
     return (np.empty((size, m * m + m)), np.empty((size, m)), np.empty((size, m, m)),
             params.energy * np.tri(m, k=-1), np.triu(np.ones((m, m)), 1), (t - m + 1) / 2)
+
+
+def _conditional_work(size: int, params: ModelParams) -> tuple:
+    """_draw_conditional's (normals, gammas) buffers for blocks of up to size trials."""
+    m = params.m
+    return np.empty((size, 2 * params.t + m - 1)), np.empty((size, m - 1))
 
 
 def _fill_streams(seed, m: int, trials: np.ndarray, attempt: int, truth, normals, gammas, shape):
@@ -561,10 +567,7 @@ def _trial_counts(spec, params, frame, lo, hi, threads: Optional[int] = 1):
         # The block buffers live across blocks.  Freeing megabytes at the end of
         # every block lets malloc hand them back to the system, and the next block
         # page-faults them in again: ~400 faults and up to 20% of a trial at M=256.
-        if frame is None:
-            work = np.empty((size, 2 * t + m - 1)), np.empty((size, m - 1))
-        else:
-            work = _bartlett_work(size, params)
+        work = (_conditional_work if frame is None else _bartlett_work)(size, params)
         while True:
             with lock:
                 if not starts:
@@ -648,14 +651,18 @@ def run(spec: ExperimentSpec, threads: Optional[int] = None) -> ExperimentResult
 SWEEP_AXES = ("alpha", "beta", "snr", "m")
 
 
+def _count(value) -> int:
+    """A sweep value that counts rows or columns, as an int; ConfigError unless it is whole."""
+    if not float(value).is_integer():
+        raise ConfigError("values on this axis are counts (integers)")
+    return int(value)
+
+
 def spec_for_axis_value(base: ExperimentSpec, axis: str, value) -> ExperimentSpec:
     """Derive the spec for one sweep point; ConfigError names the bad value."""
     try:
         if axis == "alpha":
-            n = int(value)
-            if n != value:
-                raise ConfigError("alpha sweep values are row counts n (integers)")
-            return dataclasses.replace(base, n=n)
+            return dataclasses.replace(base, n=_count(value))
         if axis == "beta":
             t = round(value * base.m)
             if abs(t - value * base.m) > 1e-9:
@@ -664,7 +671,7 @@ def spec_for_axis_value(base: ExperimentSpec, axis: str, value) -> ExperimentSpe
         if axis == "snr":
             return dataclasses.replace(base, snr=float(value))
         if axis == "m":
-            m = int(value)
+            m = _count(value)
             changes = {"m": m, "t": round(base.beta * m)}
             if abs(changes["t"] - base.beta * m) > 1e-9:
                 raise ConfigError(f"beta {base.beta} does not give an integer t for m={m}")

@@ -232,6 +232,58 @@ def test_config_error_names_setting_source(tmp_path, capsys):
     assert "trials" in err and "--trials flag" in err and "cfg.json" in err
 
 
+BASE_CFG = {"m": 8, "t": 16, "n": 7, "snr": 2.0, "trials": 10, "detectors": ["ml"]}
+SWEEP_M64 = ["sweep", "--m", "64", "--t", "128", "--n", "63", "--snr", "2", "--trials", "10",
+             "--detectors", "ml"]
+
+
+@pytest.mark.parametrize("args, cfg", [
+    ([], dict(BASE_CFG, randomize_truth="false")),
+    ([], dict(BASE_CFG, trials=True)),
+    ([], dict(BASE_CFG, m=8.7)),
+    ([], dict(BASE_CFG, output_path=5)),
+    ([], dict(BASE_CFG, format="csv")),
+    (["--n", "0"], BASE_CFG),
+    (["--seed", "-1"], BASE_CFG),
+    (SWEEP_M64 + ["--axis", "alpha", "--values", "0"], None),
+    (SWEEP_M64 + ["--axis", "m", "--values", "8.5"], None),
+    (SWEEP_M64 + ["--axis", "snr", "--values", "2", "--seed", "-1"], None),
+    (["validate", "--quick", "--seed", "-1"], None),
+], ids=["truth-as-string", "trials-as-bool", "fractional-m", "numeric-out", "format-key",
+        "n-zero", "negative-seed", "alpha-zero", "fractional-m-axis", "sweep-negative-seed",
+        "validate-negative-seed"])
+def test_a_wrong_setting_exits_2_with_one_error_line(tmp_path, capsys, args, cfg):
+    # Each of these once ran another experiment than the one written, or crashed.
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        args = ["simulate", "--config", str(path), *args]
+    assert run_cli(args) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("key", ["seed", "epsilon"])
+def test_null_in_a_config_file_leaves_the_setting_unset(tmp_path, key):
+    outputs = []
+    for cfg in (BASE_CFG, dict(BASE_CFG, **{key: None})):
+        path, out = tmp_path / "cfg.json", tmp_path / f"{len(outputs)}.csv"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_out_flag_is_named_in_setting_sources(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps(BASE_CFG))
+    args = ["simulate", "--config", str(tmp_path / "cfg.json"), "--trials", "0",
+            "--out", str(tmp_path / "x.csv")]
+    assert run_cli(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "output_path from --out flag" in err and "--output-path" not in err
+
+
 # --- sweep subcommand ---
 
 def test_sweep_theory_only_alpha_grid(tmp_path):
@@ -338,6 +390,6 @@ def test_validate_ordering_fails_on_too_few_errors(monkeypatch):
     monkeypatch.setattr(harness, "run",
                         lambda spec, threads=1: real_run(dataclasses.replace(spec, trials=200),
                                                          threads=threads))
-    ok, detail = cli._check_ordering(0, True, 1)
+    ok, detail = cli._check_ordering(cli._ordering_run(0, True, 1))
     assert not ok
     assert "insufficient errors" in detail

@@ -114,7 +114,7 @@ def test_the_truth_sits_at_its_own_column():
     # With the truth's score made to dominate, every verdict is the truth.
     params = ModelParams.from_snr(16, 32, 1e4)
     trials = np.arange(40)
-    work = np.empty((40, 2 * 32 + 15)), np.empty((40, 15))
+    work = harness._conditional_work(40, params)
     truth, v, energy = harness._draw_conditional(3, params, trials, 0, None, True, work)
     assert len(set(truth.tolist())) > 5
     assert np.array_equal(harness.detect_mf(v), truth)

@@ -263,6 +263,8 @@ def test_sweep_alpha_walks_divisors():
         harness.spec_for_axis_value(base, "alpha", 10)  # 10 does not divide 63
     with pytest.raises(ConfigError):
         harness.spec_for_axis_value(base, "alpha", 1)
+    with pytest.raises(ConfigError, match="integers"):
+        harness.spec_for_axis_value(base, "alpha", 7.5)
 
 
 def test_sweep_config_error_names_value():
@@ -307,6 +309,8 @@ def test_sweep_m_axis_keeps_kappa_and_beta():
         assert derived.beta == 2.0
     with pytest.raises(ConfigError):
         harness.spec_for_axis_value(base, "m", 12)
+    with pytest.raises(ConfigError, match="integers"):
+        harness.spec_for_axis_value(base, "m", 8.5)
 
 
 def test_sweep_runs_end_to_end():

@@ -233,13 +233,11 @@ def _bartlett_draw(config):
 def _conditional_draw(energies):
     """The same for the conditional stage at M=256, T=512, with or without column energies."""
     params = ModelParams.from_snr(256, 512, 0.03)
-    m, t = params.m, params.t
 
     def draw(trials, attempt, truth, work):
         return harness._draw_conditional(13, params, trials, attempt, truth, energies, work)
 
-    return (draw, lambda size: (np.empty((size, 2 * t + m - 1)), np.empty((size, m - 1))),
-            ("truth", "v", "energy"))
+    return (draw, lambda size: harness._conditional_work(size, params), ("truth", "v", "energy"))
 
 
 @pytest.mark.parametrize("stage", [
